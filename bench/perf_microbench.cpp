@@ -7,12 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <random>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "constellation/ephemeris_cache.hpp"
 #include "core/campaign.hpp"
 #include "exec/thread_pool.hpp"
 
@@ -88,23 +86,6 @@ void BM_CatalogPropagateAllGen2(benchmark::State& state) {
   exec::configure({});
 }
 BENCHMARK(BM_CatalogPropagateAllGen2)->Name("BM_CatalogPropagateAll/gen2");
-
-void BM_EphemerisCacheLookFrom(benchmark::State& state) {
-  // Steady-state cache behavior: 64 satellites x 8 on-grid instants cycle,
-  // warm after the first pass. Compare with BM_Sgp4Propagate for the win.
-  const constellation::EphemerisCache cache(sc().catalog());
-  const geo::Geodetic site = sc().terminal(0).site();
-  const double base = std::ceil(sc().epoch_unix() / 0.25) * 0.25;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const time::JulianDate jd = time::JulianDate::from_unix_seconds(
-        base + 0.25 * static_cast<double>(i % 8));
-    benchmark::DoNotOptimize(cache.look_from(i % 64, site, jd));
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EphemerisCacheLookFrom);
 
 void BM_VisibleFrom(benchmark::State& state) {
   const time::JulianDate jd =

@@ -131,10 +131,7 @@ std::size_t PipelineResult::flagged(std::uint32_t quality_bit) const {
 
 InferencePipeline::InferencePipeline(const Scenario& scenario,
                                      PipelineConfig config)
-    : scenario_(scenario),
-      config_(std::move(config)),
-      ephemeris_cache_(std::make_unique<constellation::EphemerisCache>(
-          scenario.catalog())) {
+    : scenario_(scenario), config_(std::move(config)) {
   if (config_.recover_geometry) {
     const auto recovered =
         recover_geometry_via_fill(scenario_, 0, config_.fill_hours);
@@ -177,8 +174,6 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
 
   result.report.kind = "pipeline";
   result.report.label = terminal.name();
-  obs::StageStat* st_propagate =
-      timed ? &result.report.stage("propagate") : nullptr;
   obs::StageStat* st_allocate =
       timed ? &result.report.stage("allocate") : nullptr;
   obs::StageStat* st_record = timed ? &result.report.stage("record") : nullptr;
@@ -191,11 +186,6 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
                                obsmap::TrajectoryPainter(geometry_));
   match::SatelliteIdentifier identifier(scenario_.catalog(), geometry_, grid,
                                         config_.identifier);
-  // Painter and identifier share the pipeline's cache: the serving
-  // satellite's per-slot samples are computed once when painted and hit when
-  // the identifier scores that satellite as a candidate moments later.
-  recorder.set_ephemeris_cache(ephemeris_cache_.get());
-  identifier.set_ephemeris_cache(ephemeris_cache_.get());
   const fault::FaultPlan& plan =
       config_.faults.has_value() ? *config_.faults : scenario_.fault_plan();
   const fault::FrameFaultInjector frame_faults(plan);
@@ -222,22 +212,9 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
       polls_missed_since_prev = 0;
     }
 
-    // One whole-catalog propagation per slot, shared by the oracle's
-    // allocation and the identifier's candidate query below (formerly each
-    // re-propagated the catalog on its own).
-    const time::JulianDate jd_mid =
-        time::JulianDate::from_unix_seconds(grid.slot_mid(s));
-    const std::vector<constellation::Catalog::Snapshot> snaps = [&] {
-      const obs::ScopedStage stage(st_propagate);
-      return scenario_.catalog().propagate_all(jd_mid);
-    }();
-
     const std::optional<scheduler::Allocation> truth = [&] {
       const obs::ScopedStage stage(st_allocate);
-      return global.allocate_from(
-          terminal, s,
-          terminal.candidates_from_snapshots(scenario_.catalog(), snaps,
-                                             jd_mid));
+      return global.allocate(terminal, s);
     }();
     // The dish always paints; faults only affect what the poll observes.
     obsmap::ObstructionMap frame = [&] {
@@ -270,7 +247,7 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
 
       const obs::ScopedStage stage(st_identify);
       const match::Identification id =
-          identifier.identify(terminal, s, *prev_frame, frame, snaps);
+          identifier.identify(terminal, s, *prev_frame, frame);
       row.num_candidates = id.num_candidates;
       row.trajectory_pixels = id.trajectory_pixels;
       row.confidence = id.confidence;
@@ -343,13 +320,8 @@ void InferencePipeline::append_inferred_rows(CampaignData& data,
         sun::local_solar_hour(terminal.site().longitude_deg, t_mid);
     obs.quality = row.quality;
     obs.confidence = row.inferred_norad.has_value() ? row.confidence : 0.0;
-    // Same set usable_candidates() returns, via the (parallel)
-    // whole-catalog propagation instead of the serial visible_from walk.
-    std::vector<ground::Candidate> usable = terminal.candidates_from_snapshots(
-        scenario_.catalog(), scenario_.catalog().propagate_all(jd), jd);
-    std::erase_if(usable,
-                  [](const ground::Candidate& c) { return !c.usable(); });
-    for (const ground::Candidate& c : usable) {
+    for (const ground::Candidate& c :
+         terminal.usable_candidates(scenario_.catalog(), jd)) {
       if (row.inferred_norad.has_value() &&
           c.sky.norad_id == *row.inferred_norad) {
         obs.chosen = static_cast<int>(obs.available.size());

@@ -9,11 +9,9 @@
 // trials" claim. The terminal is reset every 10 minutes, exactly as the
 // paper does, so trajectories stay XOR-separable.
 
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "constellation/ephemeris_cache.hpp"
 #include "core/campaign.hpp"
 #include "core/scenario.hpp"
 #include "match/identifier.hpp"
@@ -140,10 +138,6 @@ class InferencePipeline {
   const Scenario& scenario_;
   PipelineConfig config_;
   obsmap::MapGeometry geometry_;
-  /// Memoized SGP4 states shared by every run() off this pipeline (the
-  /// identifier's candidate-path sampling reads through it). Thread-safe,
-  /// bit-identical to direct propagation.
-  std::unique_ptr<constellation::EphemerisCache> ephemeris_cache_;
 };
 
 }  // namespace starlab::core

@@ -65,9 +65,7 @@ std::vector<Point2> SatelliteIdentifier::candidate_path(
   for (double t = t_begin; t < t_end; t += config_.sample_interval_sec) {
     const time::JulianDate jd = time::JulianDate::from_unix_seconds(t);
     const geo::LookAngles look =
-        ephemeris_cache_ != nullptr
-            ? ephemeris_cache_->look_from(catalog_index, terminal.site(), jd)
-            : catalog_.look_at(catalog_index, terminal.site(), jd);
+        catalog_.look_at(catalog_index, terminal.site(), jd);
     if (look.elevation() < geometry_.min_elevation) continue;
     path.push_back(sky_to_plane(
         obsmap::SkyPoint::from(look.azimuth(), look.elevation()), geometry_));
@@ -125,14 +123,13 @@ Identification SatelliteIdentifier::identify_isolated(
 
   const time::JulianDate jd_mid =
       time::JulianDate::from_unix_seconds(grid_.slot_mid(slot));
-  // Candidate query: against the caller's whole-catalog snapshots when
-  // provided, otherwise one (parallel) propagation here. Both paths produce
-  // the same entries visible_from() would.
+  // Candidate query: through the spatial index, or against the caller's
+  // whole-catalog snapshots when provided. Both produce the same entries in
+  // the same order.
   const std::vector<constellation::SkyEntry> candidates =
       snapshots.empty()
-          ? catalog_.visible_from_snapshots(catalog_.propagate_all(jd_mid),
-                                            terminal.site(), jd_mid,
-                                            config_.min_elevation)
+          ? catalog_.visible_from(terminal.site(), jd_mid,
+                                  config_.min_elevation)
           : catalog_.visible_from_snapshots(snapshots, terminal.site(), jd_mid,
                                             config_.min_elevation);
   out.num_candidates = static_cast<int>(candidates.size());
@@ -146,10 +143,10 @@ Identification SatelliteIdentifier::identify_isolated(
     MatchScore score;
   };
   std::vector<ScoredCandidate> scored(candidates.size());
-  // The per-candidate path buffer is this loop's output, and the ephemeris
-  // cache behind candidate_path locks/inserts/throws by design (see
-  // EphemerisCache::position_teme); DTW itself stays allocation-free.
-  // starlint:hotpath starlint:allow(hotpath-alloc) starlint:allow(hotpath-lock) starlint:allow(hotpath-throw)
+  // The per-candidate path buffer is this loop's output, and
+  // Ephemeris::look_from (behind candidate_path) throws for a satellite that
+  // decayed mid-slot; DTW itself stays allocation-free.
+  // starlint:hotpath starlint:allow(hotpath-alloc) starlint:allow(hotpath-throw)
   exec::default_pool().parallel_for(candidates.size(), [&](std::size_t k) {
     const constellation::SkyEntry& c = candidates[k];
     const std::vector<Point2> path =

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "constellation/catalog.hpp"
-#include "constellation/ephemeris_cache.hpp"
 #include "ground/terminal.hpp"
 #include "match/dtw.hpp"
 #include "match/trajectory.hpp"
@@ -120,10 +119,11 @@ class SatelliteIdentifier {
       : catalog_(catalog), geometry_(geometry), grid_(grid), config_(config) {}
 
   /// Identify the satellite serving `terminal` during `slot`, from the
-  /// obstruction-map frames fetched at the end of slot-1 and slot. When the
-  /// caller already holds a whole-catalog propagation for the slot midpoint
-  /// (the pipeline computes one per slot), pass it as `snapshots` so the
-  /// candidate query reuses it instead of re-propagating the catalog.
+  /// obstruction-map frames fetched at the end of slot-1 and slot. Without
+  /// `snapshots` the candidates come from the catalog's spatial index in
+  /// O(visible). A caller that already holds a whole-catalog propagation for
+  /// the slot midpoint (one shared by several terminals) may pass it as
+  /// `snapshots` instead; both give the same candidates.
   [[nodiscard]] Identification identify(
       const ground::Terminal& terminal, time::SlotIndex slot,
       const obsmap::ObstructionMap& prev_frame,
@@ -145,19 +145,11 @@ class SatelliteIdentifier {
       std::size_t catalog_index, const ground::Terminal& terminal,
       time::SlotIndex slot) const;
 
-  /// Route candidate-path SGP4 sampling through a memoized ephemeris cache
-  /// (bit-identical; see constellation::EphemerisCache). The cache must
-  /// outlive the identifier; nullptr restores direct propagation.
-  void set_ephemeris_cache(const constellation::EphemerisCache* cache) {
-    ephemeris_cache_ = cache;
-  }
-
  private:
   const constellation::Catalog& catalog_;
   obsmap::MapGeometry geometry_;
   time::SlotGrid grid_;
   IdentifierConfig config_;
-  const constellation::EphemerisCache* ephemeris_cache_ = nullptr;
 };
 
 }  // namespace starlab::match

@@ -40,9 +40,7 @@ void TrajectoryPainter::paint(const constellation::Catalog& catalog,
   for (double t = t_begin; t < t_end; t += sample_interval_sec_) {
     const time::JulianDate jd = time::JulianDate::from_unix_seconds(t);
     const geo::LookAngles look =
-        ephemeris_cache_ != nullptr
-            ? ephemeris_cache_->look_from(catalog_index, terminal.site(), jd)
-            : catalog.look_at(catalog_index, terminal.site(), jd);
+        catalog.look_at(catalog_index, terminal.site(), jd);
     const std::optional<Pixel> px =
         geometry_.pixel_of(look.azimuth(), look.elevation());
     if (px.has_value()) {

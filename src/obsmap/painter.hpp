@@ -12,7 +12,6 @@
 #include <optional>
 
 #include "constellation/catalog.hpp"
-#include "constellation/ephemeris_cache.hpp"
 #include "ground/terminal.hpp"
 #include "obsmap/obstruction_map.hpp"
 #include "scheduler/global_scheduler.hpp"
@@ -35,19 +34,9 @@ class TrajectoryPainter {
 
   [[nodiscard]] const MapGeometry& geometry() const { return geometry_; }
 
-  /// Route look-angle sampling through a memoized ephemeris (bit-identical
-  /// to the direct catalog call). The pipeline shares one cache between its
-  /// painter and its identifier, so the serving satellite's samples are
-  /// computed once per slot instead of once for painting and once for
-  /// candidate scoring. nullptr (the default) queries the catalog directly.
-  void set_ephemeris_cache(const constellation::EphemerisCache* cache) {
-    ephemeris_cache_ = cache;
-  }
-
  private:
   MapGeometry geometry_;
   double sample_interval_sec_;
-  const constellation::EphemerisCache* ephemeris_cache_ = nullptr;
 };
 
 /// Dish-side accumulating recorder: one per terminal.
@@ -72,11 +61,6 @@ class MapRecorder {
     return accumulated_;
   }
   [[nodiscard]] const TrajectoryPainter& painter() const { return painter_; }
-
-  /// Forwarded to the painter: see TrajectoryPainter::set_ephemeris_cache.
-  void set_ephemeris_cache(const constellation::EphemerisCache* cache) {
-    painter_.set_ephemeris_cache(cache);
-  }
 
  private:
   const constellation::Catalog& catalog_;

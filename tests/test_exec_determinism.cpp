@@ -3,10 +3,12 @@
 // pipeline, run_campaign, RandomForest::fit) produces byte-identical output
 // at any thread count. Each test computes a num_threads == 1 baseline and
 // compares the num_threads in {2, 8} runs against it field by field with
-// exact (bitwise) double equality.
+// exact (bitwise) double equality. The pipeline tests also pin its
+// spatial-index visibility to the shared-snapshot route run_campaign takes.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -14,7 +16,9 @@
 #include "core/campaign.hpp"
 #include "core/pipeline.hpp"
 #include "exec/thread_pool.hpp"
+#include "match/identifier.hpp"
 #include "ml/random_forest.hpp"
+#include "obsmap/painter.hpp"
 #include "test_helpers.hpp"
 
 namespace starlab {
@@ -77,6 +81,64 @@ void expect_rows_identical(const core::PipelineResult& a,
   }
 }
 
+/// InferencePipeline::run's slot loop on clean frames, with visibility taken
+/// from one propagate_all snapshot per slot (the route run_campaign shares
+/// across terminals) instead of the spatial index run() queries.
+core::PipelineResult replay_through_snapshots(
+    const core::InferencePipeline& pipeline, std::size_t terminal_index,
+    double duration_sec) {
+  const core::Scenario& sc = pipeline.scenario();
+  const ground::Terminal& terminal = sc.terminal(terminal_index);
+  const time::SlotGrid& grid = sc.grid();
+  const constellation::Catalog& catalog = sc.catalog();
+  obsmap::MapRecorder recorder(catalog, terminal, grid,
+                               obsmap::TrajectoryPainter(pipeline.geometry()));
+  const match::SatelliteIdentifier identifier(catalog, pipeline.geometry(),
+                                              grid);
+  const auto num_slots =
+      static_cast<time::SlotIndex>(duration_sec / grid.period_seconds());
+  const auto slots_per_reset = static_cast<time::SlotIndex>(
+      core::PipelineConfig{}.reset_interval_sec / grid.period_seconds());
+
+  core::PipelineResult out;
+  std::optional<obsmap::ObstructionMap> prev_frame;
+  const time::SlotIndex first = sc.first_slot();
+  for (time::SlotIndex s = first; s < first + num_slots; ++s) {
+    if ((s - first) % slots_per_reset == 0 && s != first) {
+      recorder.reset();
+      prev_frame.reset();
+    }
+    const time::JulianDate jd =
+        time::JulianDate::from_unix_seconds(grid.slot_mid(s));
+    const std::vector<constellation::Catalog::Snapshot> snaps =
+        catalog.propagate_all(jd);
+    const std::optional<scheduler::Allocation> truth =
+        sc.global_scheduler().allocate_from(
+            terminal, s, terminal.candidates_from_snapshots(catalog, snaps, jd));
+    obsmap::ObstructionMap frame = recorder.record_slot(truth);
+    if (prev_frame.has_value()) {
+      const match::Identification id =
+          identifier.identify(terminal, s, *prev_frame, frame, snaps);
+      core::SlotIdentification row;
+      row.slot = s;
+      if (truth.has_value()) row.truth_norad = truth->norad_id;
+      row.num_candidates = id.num_candidates;
+      row.trajectory_pixels = id.trajectory_pixels;
+      row.confidence = id.confidence;
+      row.abstain = id.abstain;
+      if (id.abstained()) row.quality |= core::quality::kAbstained;
+      if (id.reset_detected) row.quality |= core::quality::kResetDetected;
+      if (id.best.has_value()) {
+        row.inferred_norad = id.best->norad_id;
+        row.dtw = id.best->dtw;
+      }
+      out.rows.push_back(row);
+    }
+    prev_frame = std::move(frame);
+  }
+  return out;
+}
+
 TEST(ExecDeterminism, PipelineBitIdenticalAcrossThreadCounts) {
   const PoolGuard guard;
   const core::InferencePipeline pipeline(tiny_scenario());
@@ -84,10 +146,49 @@ TEST(ExecDeterminism, PipelineBitIdenticalAcrossThreadCounts) {
   exec::configure({1});
   const core::PipelineResult baseline = pipeline.run(0, 900.0);
   ASSERT_FALSE(baseline.rows.empty());
+  ASSERT_GT(baseline.decided(), 0u);
 
   for (const int nt : kThreadCounts) {
     exec::configure({nt});
     expect_rows_identical(pipeline.run(0, 900.0), baseline, nt);
+    // Same rows from the shared-snapshot route: the spatial-index query and
+    // the whole-catalog propagation must agree bit for bit.
+    expect_rows_identical(replay_through_snapshots(pipeline, 0, 900.0),
+                          baseline, nt);
+  }
+}
+
+TEST(ExecDeterminism, InferredCampaignAvailableMatchesSnapshotCandidates) {
+  const PoolGuard guard;
+  const core::Scenario& sc = tiny_scenario();
+  const core::InferencePipeline pipeline(sc);
+
+  for (const int nt : kThreadCounts) {
+    exec::configure({nt});
+    const core::CampaignData data = pipeline.run_inferred_campaign(300.0);
+    ASSERT_FALSE(data.slots.empty()) << "threads=" << nt;
+    for (std::size_t i = 0; i < data.slots.size(); ++i) {
+      const core::SlotObs& row = data.slots[i];
+      const time::JulianDate jd = time::JulianDate::from_unix_seconds(
+          sc.grid().slot_mid(row.slot));
+      std::vector<ground::Candidate> usable =
+          sc.terminal(row.terminal_index)
+              .candidates_from_snapshots(sc.catalog(),
+                                         sc.catalog().propagate_all(jd), jd);
+      std::erase_if(usable,
+                    [](const ground::Candidate& c) { return !c.usable(); });
+      ASSERT_EQ(row.available.size(), usable.size())
+          << "threads=" << nt << " row=" << i;
+      for (std::size_t c = 0; c < usable.size(); ++c) {
+        const core::CandidateObs& a = row.available[c];
+        const constellation::SkyEntry& e = usable[c].sky;
+        EXPECT_EQ(a.norad_id, e.norad_id) << "row=" << i;
+        EXPECT_EQ(a.azimuth_deg, e.look.azimuth_deg) << "row=" << i;
+        EXPECT_EQ(a.elevation_deg, e.look.elevation_deg) << "row=" << i;
+        EXPECT_EQ(a.age_days, e.age_days) << "row=" << i;
+        EXPECT_EQ(a.sunlit, e.sunlit) << "row=" << i;
+      }
+    }
   }
 }
 

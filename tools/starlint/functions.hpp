@@ -54,7 +54,7 @@ struct FunctionDef {
 /// One mutex declaration (`check::Mutex name;`).
 struct MutexDecl {
   std::string name;
-  /// Qualified scope that declares it ("...::EphemerisCache::Shard"); the
+  /// Qualified scope that declares it ("...::exec::ThreadPool"); the
   /// lock identity is owner + "::" + name.
   std::string owner;
   std::size_t file_index = 0;
