@@ -2,10 +2,12 @@
 
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 
 #include "obs/config.hpp"
+#include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
 
@@ -83,6 +85,13 @@ const char* flag_value(const char* arg, const char* name) {
   return nullptr;
 }
 
+/// The metrics snapshot's path beside a JSONL report path.
+std::string metrics_snapshot_path(const std::string& json_path) {
+  std::filesystem::path path(json_path);
+  path.replace_filename("metrics_" + path.filename().string());
+  return path.string();
+}
+
 }  // namespace
 
 ReportSink::ReportSink(int& argc, char** argv, std::string default_json_path)
@@ -109,7 +118,7 @@ ReportSink::ReportSink(int& argc, char** argv, std::string default_json_path)
   argc = kept;
 
   obs::Config cfg = obs::config();
-  if (!json_path_.empty()) cfg.metrics = true;  // stage timers need obs on
+  if (!json_path_.empty()) cfg.metrics = true;  // stage spans time under it
   if (!trace_path_.empty()) cfg.tracing = true;
   if (!prof_path_.empty() || !collapsed_path_.empty()) cfg.profiling = true;
   obs::set_config(cfg);
@@ -129,6 +138,15 @@ ReportSink::~ReportSink() {
     } catch (const std::exception& e) {
       std::fprintf(stderr, "[report] FAILED writing %s: %s\n",
                    json_path_.c_str(), e.what());
+    }
+    const std::string metrics_path = metrics_snapshot_path(json_path_);
+    std::ofstream out(metrics_path);
+    if (out) {
+      out << obs::MetricsRegistry::instance().json() << '\n';
+      std::printf("[report] metrics snapshot -> %s\n", metrics_path.c_str());
+    } else {
+      std::fprintf(stderr, "[report] FAILED opening %s\n",
+                   metrics_path.c_str());
     }
   }
   if (!trace_path_.empty()) {

@@ -4,7 +4,9 @@
 // ceilings in bench/budgets.toml against it (mean ns per call). Ceilings
 // are deliberately ~100x the measured numbers: the gate exists to catch
 // order-of-magnitude regressions (an accidentally quadratic loop, a cache
-// bypass), not scheduler jitter on a loaded CI runner.
+// bypass), not scheduler jitter on a loaded CI runner. perfgate itself
+// exits 1 when pipeline.run's self time exceeds 5 % of its total, i.e. when
+// the run's stage spans stop accounting for its wall-clock.
 //
 //   perfgate [--out=perfgate_prof.json] [--collapsed=PATH] [--gen2]
 //
@@ -89,5 +91,26 @@ int main(int argc, char** argv) {
     collapsed << obs::Profiler::instance().collapsed_stacks();
     std::printf("[perfgate] collapsed stacks -> %s\n", collapsed_path.c_str());
   }
-  return 0;
+
+  // Attribution gate: the run's stage spans must account for its time, so
+  // pipeline.run's self time may be at most 5 % of its total.
+  constexpr double kMaxRunSelfFrac = 0.05;
+  for (const obs::SpanStats& s : obs::Profiler::instance().snapshot()) {
+    if (s.path != "pipeline.run") continue;
+    const double self_frac =
+        s.total_ns == 0 ? 1.0
+                        : static_cast<double>(s.self_ns) /
+                              static_cast<double>(s.total_ns);
+    std::printf("[perfgate] pipeline.run self time %.2f%% of %.2f ms\n",
+                100.0 * self_frac, static_cast<double>(s.total_ns) * 1e-6);
+    if (self_frac > kMaxRunSelfFrac) {
+      std::fprintf(stderr,
+                   "[perfgate] FAILED: pipeline.run self time above %.0f%%\n",
+                   100.0 * kMaxRunSelfFrac);
+      return 1;
+    }
+    return 0;
+  }
+  std::fprintf(stderr, "[perfgate] FAILED: no pipeline.run span profiled\n");
+  return 1;
 }

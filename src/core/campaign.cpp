@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/contracts.hpp"
-#include "check/thread_annotations.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injectors.hpp"
@@ -117,9 +116,8 @@ void finalize_campaign_report(CampaignData& data,
 
 CampaignData run_campaign(const Scenario& scenario,
                           const CampaignConfig& config) {
-  const obs::ObsSpan span("campaign.run");
+  const obs::ObsSpan run_span("campaign.run");
   const bool timed = obs::enabled();
-  const std::uint64_t run_start = timed ? obs::monotonic_ns() : 0;
 
   CampaignData data;
   data.report.kind = "campaign";
@@ -163,53 +161,43 @@ CampaignData run_campaign(const Scenario& scenario,
   for (std::size_t r = record_begin; r < record_end; r += record_step) {
     slot_ids.push_back(window.slot(r));
   }
-  std::vector<std::vector<SlotObs>> per_slot(slot_ids.size());
+  // A slot's observations and stage cells. Only the worker that owns the
+  // slot writes them, and the serial flatten below sums the cells into the
+  // report, so the stage path needs no lock.
+  struct SlotWork {
+    std::vector<SlotObs> rows;
+    obs::StageStat propagate, candidates, allocate;
+  };
+  std::vector<SlotWork> per_slot(slot_ids.size());
 
-  // Chunk workers merge their local stage clocks into the shared report
-  // StageStats through these guarded pointers, so the report never sees
-  // concurrent writes.
-  struct StageMerge {
-    check::Mutex mu;
-    obs::StageStat* propagate PT_GUARDED_BY(mu) = nullptr;
-    obs::StageStat* candidates PT_GUARDED_BY(mu) = nullptr;
-    obs::StageStat* allocate PT_GUARDED_BY(mu) = nullptr;
-  } stages;
-  stages.propagate = st_propagate;
-  stages.candidates = st_candidates;
-  stages.allocate = st_allocate;
-  // Each chunk pays queueing plus a stage-stat merge under the mutex, and a
-  // slot costs a whole catalog propagation anyway — so never split below
-  // four slots per chunk. Short benchmark slices (a dozen slots) otherwise
-  // shard into single-slot chunks on wide pools and run slower at eight
-  // threads than at one. The partition only changes which worker computes a
-  // slot, never the per-slot results, so output stays bit-identical.
+  // Each chunk pays queueing, and a slot costs a whole catalog propagation
+  // anyway — so never split below four slots per chunk. Short benchmark
+  // slices (a dozen slots) otherwise shard into single-slot chunks on wide
+  // pools and run slower at eight threads than at one. The partition only
+  // changes which worker computes a slot, never the per-slot results, so
+  // output stays bit-identical.
   constexpr std::size_t kMinSlotsPerChunk = 4;
   exec::default_pool().parallel_for_chunks(
       slot_ids.size(), kMinSlotsPerChunk,
       [&](std::size_t begin, std::size_t end) {
-        // Per-chunk stage clocks, merged once at chunk end so the shared
-        // report never sees concurrent writes.
-        obs::StageStat local_propagate, local_candidates, local_allocate;
-        obs::StageStat* lp = timed ? &local_propagate : nullptr;
-        obs::StageStat* lc = timed ? &local_candidates : nullptr;
-        obs::StageStat* la = timed ? &local_allocate : nullptr;
-
         for (std::size_t k = begin; k < end; ++k) {
           if (config.cancel != nullptr) config.cancel->check();
+          SlotWork& work = per_slot[k];
           const time::SlotIndex s = slot_ids[k];
           const double t_mid = grid.slot_mid(s);
           const time::JulianDate jd = time::JulianDate::from_unix_seconds(t_mid);
 
           // One catalog propagation shared by every terminal in this slot.
           const std::vector<constellation::Catalog::Snapshot> snaps = [&] {
-            const obs::ScopedStage stage(lp);
+            const obs::ObsSpan span("campaign.propagate", &work.propagate);
             return catalog.propagate_all(jd);
           }();
 
           for (std::size_t ti = 0; ti < scenario.terminals().size(); ++ti) {
             const ground::Terminal& terminal = scenario.terminal(ti);
             std::vector<ground::Candidate> candidates = [&] {
-              const obs::ScopedStage stage(lc);
+              const obs::ObsSpan span("campaign.candidates",
+                                      &work.candidates);
               return terminal.candidates_from_snapshots(catalog, snaps, jd);
             }();
 
@@ -241,7 +229,7 @@ CampaignData run_campaign(const Scenario& scenario,
             }
 
             const std::optional<scheduler::Allocation> alloc = [&] {
-              const obs::ScopedStage stage(la);
+              const obs::ObsSpan span("campaign.allocate", &work.allocate);
               return global.allocate_from(terminal, s, candidates);
             }();
             if (alloc.has_value()) {
@@ -253,23 +241,22 @@ CampaignData run_campaign(const Scenario& scenario,
               }
             }
             if (!slot_obs.has_choice()) slot_obs.confidence = 0.0;
-            per_slot[k].push_back(std::move(slot_obs));
+            work.rows.push_back(std::move(slot_obs));
           }
-        }
-
-        if (timed) {
-          const check::MutexLock lock(stages.mu);
-          stages.propagate->wall_ns += local_propagate.wall_ns;
-          stages.propagate->calls += local_propagate.calls;
-          stages.candidates->wall_ns += local_candidates.wall_ns;
-          stages.candidates->calls += local_candidates.calls;
-          stages.allocate->wall_ns += local_allocate.wall_ns;
-          stages.allocate->calls += local_allocate.calls;
         }
       });
 
-  for (std::vector<SlotObs>& rows : per_slot) {
-    for (SlotObs& row : rows) data.slots.push_back(std::move(row));
+  const auto add_cell = [](obs::StageStat* stage, const obs::StageStat& cell) {
+    stage->wall_ns += cell.wall_ns;
+    stage->calls += cell.calls;
+  };
+  for (SlotWork& work : per_slot) {
+    for (SlotObs& row : work.rows) data.slots.push_back(std::move(row));
+    if (timed) {
+      add_cell(st_propagate, work.propagate);
+      add_cell(st_candidates, work.candidates);
+      add_cell(st_allocate, work.allocate);
+    }
   }
   // Campaign time must advance: the flattened observations are in slot order,
   // so their mid-slot instants are non-decreasing. A violation means the
@@ -285,7 +272,7 @@ CampaignData run_campaign(const Scenario& scenario,
   // once here so consumers never re-scan the slot vector.
   finalize_campaign_report(data, plan);
   obs::RunReport& report = data.report;
-  if (timed) report.wall_ns = obs::monotonic_ns() - run_start;
+  report.wall_ns = run_span.elapsed_ns();
 
   const CampaignMetrics& metrics = CampaignMetrics::get();
   metrics.runs.add();

@@ -165,7 +165,6 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
   const obs::ObsSpan run_span("pipeline.run");
   if (cancel == nullptr) cancel = config_.cancel;
   const bool timed = obs::enabled();
-  const std::uint64_t run_start = timed ? obs::monotonic_ns() : 0;
 
   PipelineResult result;
   const ground::Terminal& terminal = scenario_.terminal(terminal_index);
@@ -213,12 +212,12 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
     }
 
     const std::optional<scheduler::Allocation> truth = [&] {
-      const obs::ScopedStage stage(st_allocate);
+      const obs::ObsSpan span("pipeline.allocate", st_allocate);
       return global.allocate(terminal, s);
     }();
     // The dish always paints; faults only affect what the poll observes.
     obsmap::ObstructionMap frame = [&] {
-      const obs::ScopedStage stage(st_record);
+      const obs::ObsSpan span("pipeline.record", st_record);
       return recorder.record_slot(truth);
     }();
 
@@ -227,7 +226,7 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
     if (truth.has_value()) row.truth_norad = truth->norad_id;
 
     {
-      const obs::ScopedStage stage(st_observe);
+      const obs::ObsSpan span("pipeline.observe", st_observe);
       if (frame_faults.frame_dropped(terminal_index, s)) {
         // No frame observed: this slot is undecidable, and the stale
         // baseline taints the next XOR (flagged there as kStaleBaseline).
@@ -245,7 +244,7 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
     if (prev_frame.has_value()) {
       if (polls_missed_since_prev > 0) row.quality |= quality::kStaleBaseline;
 
-      const obs::ScopedStage stage(st_identify);
+      const obs::ObsSpan span("pipeline.identify", st_identify);
       const match::Identification id =
           identifier.identify(terminal, s, *prev_frame, frame);
       row.num_candidates = id.num_candidates;
@@ -264,7 +263,7 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
     polls_missed_since_prev = 0;
   }
 
-  if (timed) result.report.wall_ns = obs::monotonic_ns() - run_start;
+  result.report.wall_ns = run_span.elapsed_ns();
   result.summarize();
 
   const PipelineMetrics& metrics = PipelineMetrics::get();

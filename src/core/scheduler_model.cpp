@@ -102,7 +102,6 @@ ModelEvaluation train_scheduler_model(
     std::optional<std::size_t> terminal_index) {
   const obs::ObsSpan span("train.run");
   const bool timed = obs::enabled();
-  const std::uint64_t run_start = timed ? obs::monotonic_ns() : 0;
 
   ModelEvaluation out;
   out.report.kind = "train";
@@ -118,8 +117,7 @@ ModelEvaluation train_scheduler_model(
 
   const ClusterFeaturizer featurizer;
   const ml::Dataset all = [&] {
-    const obs::ObsSpan stage_span("train.featurize");
-    const obs::ScopedStage stage(st_featurize);
+    const obs::ObsSpan stage_span("train.featurize", st_featurize);
     return featurizer.build_dataset(data, terminal_index);
   }();
   if (all.size() < 20) return out;
@@ -133,8 +131,7 @@ ModelEvaluation train_scheduler_model(
 
   // Model selection.
   {
-    const obs::ObsSpan stage_span("train.select");
-    const obs::ScopedStage stage(st_select);
+    const obs::ObsSpan stage_span("train.select", st_select);
     if (config.grid.has_value()) {
       const ml::GridSearchResult gs =
           ml::grid_search(train, *config.grid, {config.folds, config.seed});
@@ -153,15 +150,13 @@ ModelEvaluation train_scheduler_model(
   // Final fit and holdout evaluation.
   ml::RandomForest forest(out.chosen_config);
   {
-    const obs::ObsSpan stage_span("train.fit");
-    const obs::ScopedStage stage(st_fit);
+    const obs::ObsSpan stage_span("train.fit", st_fit);
     forest.fit(train);
   }
   const ml::PopularityBaseline baseline(ClusterFeaturizer::kCountOffset,
                                         ClusterFeaturizer::kNumClusters);
 
-  const obs::ObsSpan evaluate_span("train.evaluate");
-  const obs::ScopedStage evaluate_stage(st_evaluate);
+  const obs::ObsSpan evaluate_span("train.evaluate", st_evaluate);
   std::vector<std::vector<int>> forest_ranks, baseline_ranks;
   std::vector<int> labels;
   forest_ranks.reserve(split.test.size());
@@ -197,7 +192,7 @@ ModelEvaluation train_scheduler_model(
   }
   out.report.add_value("train_rows", static_cast<double>(out.train_rows));
   out.report.add_value("holdout_rows", static_cast<double>(out.holdout_rows));
-  if (timed) out.report.wall_ns = obs::monotonic_ns() - run_start;
+  out.report.wall_ns = span.elapsed_ns();
   return out;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
-// The single monotonic-clock wrapper used by tracing spans, stage timers,
-// benches and tests. Promoted out of bench_common so instrumentation and
-// benchmarking agree on one time base.
+// The single monotonic-clock wrapper used by ObsSpan (the library's only
+// timer), benches and tests. Promoted out of bench_common so
+// instrumentation and benchmarking agree on one time base.
 
 #include <chrono>
 #include <cstdint>
@@ -22,14 +22,12 @@ class Stopwatch {
  public:
   Stopwatch() : start_ns_(monotonic_ns()) {}
 
-  void restart() { start_ns_ = monotonic_ns(); }
-
-  /// Nanoseconds since construction (or the last restart).
+  /// Nanoseconds since construction.
   [[nodiscard]] std::uint64_t elapsed_ns() const {
     return monotonic_ns() - start_ns_;
   }
 
-  /// Seconds since construction (or the last restart).
+  /// Seconds since construction.
   [[nodiscard]] double seconds() const {
     return static_cast<double>(elapsed_ns()) * 1e-9;
   }

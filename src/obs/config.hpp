@@ -1,8 +1,8 @@
 #pragma once
 
 // Process-wide observability switch. Instrumentation is compiled in
-// everywhere but defaults to the null sink: with both flags off, counters,
-// histograms and spans reduce to one relaxed atomic load each, stage timers
+// everywhere but defaults to the null sink: with every flag off, counters
+// and histograms reduce to one relaxed atomic load each, spans to three and
 // never read the clock, and pipeline/campaign outputs are bit-identical to
 // an uninstrumented build (the same guarantee the fault layer makes for
 // intensity 0; verified by tests_obs).
@@ -53,7 +53,8 @@ inline void set_config(const Config& config) {
   return detail::g_profiling.load(std::memory_order_relaxed);
 }
 
-/// Any instrumentation live at all (gates stage-timer clock reads).
+/// Any instrumentation live at all (whether RunReports get stages and
+/// wall-clock; ObsSpan times under the same rule).
 [[nodiscard]] inline bool enabled() {
   return metrics_enabled() || tracing_enabled() || profiling_enabled();
 }

@@ -14,11 +14,10 @@
 #include <utility>
 #include <vector>
 
-#include "obs/clock.hpp"
-
 namespace starlab::obs {
 
-/// Accumulated wall-clock of one named stage of a run.
+/// Accumulated wall-clock of one named stage of a run: the total and count
+/// of the ObsSpans that timed it.
 struct StageStat {
   std::string name;
   std::uint64_t wall_ns = 0;
@@ -31,7 +30,8 @@ struct RunReport {
   std::string git_sha;  ///< build provenance; "" when unknown
   std::uint64_t wall_ns = 0;  ///< whole-run wall-clock (0: timing was off)
   /// Deque, not vector: stage() hands out long-lived pointers (held across
-  /// the whole run by ScopedStage callers), so growth must not relocate.
+  /// the whole run by the ObsSpans timing each stage), so growth must not
+  /// relocate.
   std::deque<StageStat> stages;
 
   // Slot summary (pipeline/campaign runs; zero elsewhere).
@@ -77,27 +77,6 @@ struct RunReport {
   /// One-line JSON object (no trailing newline). Field order is fixed so
   /// serialization is deterministic.
   [[nodiscard]] std::string to_json() const;
-};
-
-/// RAII stage timer: on destruction adds the elapsed wall-clock and one
-/// call to the stage. Pass nullptr when observability is off — the timer
-/// then never reads the clock.
-class ScopedStage {
- public:
-  explicit ScopedStage(StageStat* stage)
-      : stage_(stage), start_ns_(stage != nullptr ? monotonic_ns() : 0) {}
-  ~ScopedStage() {
-    if (stage_ != nullptr) {
-      stage_->wall_ns += monotonic_ns() - start_ns_;
-      ++stage_->calls;
-    }
-  }
-  ScopedStage(const ScopedStage&) = delete;
-  ScopedStage& operator=(const ScopedStage&) = delete;
-
- private:
-  StageStat* stage_;
-  std::uint64_t start_ns_;
 };
 
 }  // namespace starlab::obs

@@ -6,6 +6,7 @@
 #include "obs/clock.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/prof.hpp"
+#include "obs/run_report.hpp"
 
 namespace starlab::obs {
 
@@ -13,8 +14,8 @@ namespace {
 std::atomic<std::uint32_t> g_next_tid{1};
 thread_local std::uint32_t t_tid = 0;
 thread_local std::uint32_t t_depth = 0;
-/// The calling thread's open profiled spans, outermost first. Views point
-/// at the owning ObsSpan's name_, which outlives every nested span.
+/// The calling thread's open profiled spans, outermost first. Views alias
+/// each ObsSpan's name, a literal that outlives every span.
 thread_local std::vector<std::string_view> t_prof_path;
 }  // namespace
 
@@ -90,11 +91,12 @@ std::uint32_t ObsSpan::thread_id() {
   return t_tid;
 }
 
-ObsSpan::ObsSpan(std::string_view name) {
+ObsSpan::ObsSpan(std::string_view name, StageStat* stage)
+    : name_(name), stage_(stage) {
   const bool tracing = tracing_enabled();
   const bool profiling = profiling_enabled();
-  if (!tracing && !profiling) return;
-  name_ = name;
+  if (!tracing && !profiling && !metrics_enabled()) return;
+  timed_ = true;
   start_ns_ = monotonic_ns();
   if (tracing) {
     depth_ = t_depth++;
@@ -106,11 +108,19 @@ ObsSpan::ObsSpan(std::string_view name) {
   }
 }
 
+std::uint64_t ObsSpan::elapsed_ns() const {
+  return timed_ ? monotonic_ns() - start_ns_ : 0;
+}
+
 ObsSpan::~ObsSpan() {
-  if (!active_ && !prof_active_) return;
-  // One duration measurement shared by the trace event and the profiler, so
-  // per-name totals in the two exports reconcile exactly.
+  if (!timed_) return;
+  // One duration measurement shared by the stage, the profiler and the
+  // trace event, so the three views reconcile exactly.
   const std::uint64_t dur_ns = monotonic_ns() - start_ns_;
+  if (stage_ != nullptr) {
+    stage_->wall_ns += dur_ns;
+    ++stage_->calls;
+  }
   if (prof_active_) {
     std::string path;
     for (const std::string_view part : t_prof_path) {
@@ -123,7 +133,7 @@ ObsSpan::~ObsSpan() {
   if (active_) {
     --t_depth;
     TraceEvent e;
-    e.name = std::move(name_);
+    e.name = std::string(name_);
     e.start_ns = start_ns_;
     e.dur_ns = dur_ns;
     e.tid = thread_id();

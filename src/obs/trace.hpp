@@ -1,12 +1,12 @@
 #pragma once
 
-// RAII tracing spans with thread-local nesting, recorded against the
+// RAII timing spans with thread-local nesting, recorded against the
 // monotonic clock and exported as Chrome trace_event JSON — open a run in
 // chrome://tracing or https://ui.perfetto.dev to see where the wall-clock
-// went. Spans are compiled in everywhere and cost one relaxed atomic load
-// when tracing is off; when on, a span is two clock reads plus one
-// mutex-guarded append at end-of-scope (spans are coarse: per run, per
-// stage, per slot — never per pixel or per DTW cell).
+// went. Spans are compiled in everywhere and cost three relaxed atomic
+// loads when obs is off; when on, a span is two clock reads, plus one
+// mutex-guarded append at end-of-scope when tracing (spans are coarse: per
+// run, per stage, per slot — never per pixel or per DTW cell).
 
 #include <cstdint>
 #include <string>
@@ -17,6 +17,8 @@
 #include "obs/config.hpp"
 
 namespace starlab::obs {
+
+struct StageStat;
 
 struct TraceEvent {
   std::string name;
@@ -51,17 +53,24 @@ class TraceRecorder {
   std::vector<TraceEvent> events_ GUARDED_BY(mu_);
 };
 
-/// One timed scope. Construct with tracing enabled to record an event, with
-/// profiling enabled to fold the duration into the span Profiler (both use
-/// the same single duration measurement, so trace and profile totals
-/// reconcile exactly); with both off the constructor is two relaxed loads
-/// and nothing else happens.
+/// One timed scope, and the only timer in the library. While any obs flag
+/// is on it reads the clock at open and close and hands that one duration
+/// to every consumer: the optional StageStat (a RunReport stage: wall_ns and
+/// calls), the TraceRecorder (tracing on) and the span Profiler (profiling
+/// on), so the report, the trace and the profile reconcile exactly. With
+/// everything off the constructor is three relaxed loads and nothing else
+/// happens. A span that only times allocates nothing: `name` is held as a
+/// view, so it must outlive the span (callers pass literals), and is copied
+/// only into a TraceEvent.
 class ObsSpan {
  public:
-  explicit ObsSpan(std::string_view name);
+  explicit ObsSpan(std::string_view name, StageStat* stage = nullptr);
   ~ObsSpan();
   ObsSpan(const ObsSpan&) = delete;
   ObsSpan& operator=(const ObsSpan&) = delete;
+
+  /// Nanoseconds since the span opened; 0 when it is not timing.
+  [[nodiscard]] std::uint64_t elapsed_ns() const;
 
   /// Nesting depth of the calling thread's open spans.
   [[nodiscard]] static std::uint32_t nesting_depth();
@@ -69,9 +78,11 @@ class ObsSpan {
   [[nodiscard]] static std::uint32_t thread_id();
 
  private:
-  std::string name_;
+  std::string_view name_;
+  StageStat* stage_;
   std::uint64_t start_ns_ = 0;
   std::uint32_t depth_ = 0;
+  bool timed_ = false;        ///< some obs flag was on at open
   bool active_ = false;       ///< recording a TraceEvent (tracing on at open)
   bool prof_active_ = false;  ///< on this thread's profile path (prof at open)
 };

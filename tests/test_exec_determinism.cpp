@@ -4,7 +4,8 @@
 // at any thread count. Each test computes a num_threads == 1 baseline and
 // compares the num_threads in {2, 8} runs against it field by field with
 // exact (bitwise) double equality. The pipeline tests also pin its
-// spatial-index visibility to the shared-snapshot route run_campaign takes.
+// spatial-index visibility to the shared-snapshot route run_campaign takes,
+// and the campaign's per-slot stage cells are checked for exact counts.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "exec/thread_pool.hpp"
 #include "match/identifier.hpp"
 #include "ml/random_forest.hpp"
+#include "obs/config.hpp"
 #include "obsmap/painter.hpp"
 #include "test_helpers.hpp"
 
@@ -30,6 +32,11 @@ using starlab::testing::tiny_scenario;
 /// tests never leak a thread-count override into other suites.
 struct PoolGuard {
   ~PoolGuard() { exec::configure({}); }
+};
+
+/// Returns obs to the null sink on scope exit.
+struct ObsGuard {
+  ~ObsGuard() { obs::set_config(obs::Config::disabled()); }
 };
 
 constexpr int kThreadCounts[] = {1, 2, 8};
@@ -227,6 +234,37 @@ TEST(ExecDeterminism, CampaignBitIdenticalAcrossThreadCounts) {
     // The derived summary must agree too.
     EXPECT_EQ(data.report.decided, baseline.report.decided);
     EXPECT_EQ(data.report.degraded, baseline.report.degraded);
+  }
+}
+
+// The campaign's stage cells: a slot's worker writes only that slot's
+// cells and the serial flatten sums them, so at any thread count the stage
+// calls are exact (propagate once per slot, candidates and allocate once
+// per slot and terminal) and every stage timed something. Being in this
+// suite puts the cells under the ThreadSanitizer job too.
+TEST(ExecDeterminism, CampaignStageCallsExactAcrossThreadCounts) {
+  const PoolGuard guard;
+  const ObsGuard obs_guard;
+  const core::Scenario& sc = tiny_scenario();
+  core::CampaignConfig cfg;
+  cfg.duration_hours = 0.25;
+  const std::uint64_t slots = core::campaign_recorded_slots(sc, cfg);
+  const std::uint64_t per_terminal = slots * sc.terminals().size();
+  ASSERT_GT(slots, 0u);
+
+  obs::set_config({/*metrics=*/true, /*tracing=*/false, /*profiling=*/false});
+  for (const int nt : kThreadCounts) {
+    exec::configure({nt});
+    const core::CampaignData data = run_campaign(sc, cfg);
+    const obs::RunReport& report = data.report;
+    EXPECT_EQ(report.slots, per_terminal) << "threads=" << nt;
+    EXPECT_GT(report.wall_ns, 0u) << "threads=" << nt;
+    ASSERT_EQ(report.stages.size(), 3u) << "threads=" << nt;
+    for (const obs::StageStat& st : report.stages) {
+      EXPECT_EQ(st.calls, st.name == "propagate" ? slots : per_terminal)
+          << "threads=" << nt << " stage=" << st.name;
+      EXPECT_GT(st.wall_ns, 0u) << "threads=" << nt << " stage=" << st.name;
+    }
   }
 }
 

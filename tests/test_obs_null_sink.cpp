@@ -1,8 +1,8 @@
 // The observability contract on the real pipeline and campaign: with
 // obs::Config::disabled() the outputs are bit-identical to an instrumented
 // run (the null-sink guarantee, mirroring the fault layer's intensity-0
-// property), and with everything enabled the run report's stage clocks and
-// the trace recorder actually describe the run.
+// property), and with obs enabled the run report's stages and the trace
+// recorder actually describe the run.
 
 #include <gtest/gtest.h>
 
@@ -94,25 +94,33 @@ TEST_F(ObsNullSink, DisabledRunCarriesCountsButNoTimings) {
 }
 
 TEST_F(ObsNullSink, EnabledRunReportsStagesSummingBelowWallClock) {
-  obs::set_config(obs::Config::all());
-  const core::Scenario& sc = tiny_scenario();
-  const core::InferencePipeline pipeline(sc);
-  const core::PipelineResult result = pipeline.run(0, 900.0);
+  // Everything on, and metrics alone: the mode benches writing JSON run in
+  // (bench::ReportSink), where the stage spans time without tracing or
+  // profiling.
+  const obs::Config metrics_only{/*metrics=*/true, /*tracing=*/false,
+                                 /*profiling=*/false};
+  for (const obs::Config& cfg : {obs::Config::all(), metrics_only}) {
+    SCOPED_TRACE(cfg.tracing ? "all" : "metrics only");
+    obs::set_config(cfg);
+    const core::Scenario& sc = tiny_scenario();
+    const core::InferencePipeline pipeline(sc);
+    const core::PipelineResult result = pipeline.run(0, 900.0);
 
-  EXPECT_GT(result.report.wall_ns, 0u);
-  ASSERT_FALSE(result.report.stages.empty());
-  const std::uint64_t stage_sum = result.report.stage_total_ns();
-  EXPECT_GT(stage_sum, 0u);
-  // Stages are disjoint sections of the run, so their sum is bounded by —
-  // and for this loop-dominated pipeline close to — the run's wall-clock.
-  // The lower bound guards against stage pointers silently going dead
-  // (e.g. the stage container relocating under its ScopedStage holders).
-  EXPECT_LE(stage_sum, result.report.wall_ns);
-  EXPECT_GE(stage_sum, result.report.wall_ns / 2);
-  for (const char* name : {"allocate", "record", "observe", "identify"}) {
-    const obs::StageStat* st = result.report.find_stage(name);
-    ASSERT_NE(st, nullptr) << name;
-    EXPECT_GT(st->calls, 0u) << name;
+    EXPECT_GT(result.report.wall_ns, 0u);
+    ASSERT_FALSE(result.report.stages.empty());
+    const std::uint64_t stage_sum = result.report.stage_total_ns();
+    EXPECT_GT(stage_sum, 0u);
+    // Stages are disjoint sections of the run, so their sum is bounded by —
+    // and for this loop-dominated pipeline close to — the run's wall-clock.
+    // The lower bound guards against stage pointers silently going dead
+    // (e.g. the stage container relocating under the spans timing it).
+    EXPECT_LE(stage_sum, result.report.wall_ns);
+    EXPECT_GE(stage_sum, result.report.wall_ns / 2);
+    for (const char* name : {"allocate", "record", "observe", "identify"}) {
+      const obs::StageStat* st = result.report.find_stage(name);
+      ASSERT_NE(st, nullptr) << name;
+      EXPECT_GT(st->calls, 0u) << name;
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // The span-statistics profiler: P-squared quantile accuracy, path
 // aggregation, self-time arithmetic, and the reconciliation guarantee —
 // because ObsSpan measures each duration once and hands the same value to
-// the TraceRecorder and the Profiler, per-name totals in the Chrome trace
-// and the profile report agree exactly, not approximately.
+// the run report's stage, the TraceRecorder and the Profiler, per-name
+// totals in the Chrome trace, the profile report and the pipeline's stages
+// agree exactly, not approximately.
 
 #include "obs/prof.hpp"
 
@@ -158,7 +159,7 @@ TEST_F(ObsProf, ProfileReconcilesWithChromeTraceOnRealPipeline) {
   obs::set_config(obs::Config::all());
   const core::Scenario& sc = tiny_scenario();
   const core::InferencePipeline pipeline(sc);
-  (void)pipeline.run(0, 600.0);
+  const core::PipelineResult result = pipeline.run(0, 600.0);
   obs::set_config(obs::Config::disabled());
 
   // Per-name totals from the trace events...
@@ -181,6 +182,16 @@ TEST_F(ObsProf, ProfileReconcilesWithChromeTraceOnRealPipeline) {
   EXPECT_EQ(trace_totals, prof_totals);
   EXPECT_EQ(trace_counts, prof_counts);
   EXPECT_NE(prof_totals.find("pipeline.run"), prof_totals.end());
+
+  // The run report's stages are the same spans' view: each stage's wall_ns
+  // and calls equal the profile's pipeline.<stage> total and count exactly.
+  ASSERT_EQ(result.report.stages.size(), 4u);
+  for (const obs::StageStat& st : result.report.stages) {
+    const std::string span = "pipeline." + st.name;
+    EXPECT_GT(st.calls, 0u) << span;
+    EXPECT_EQ(st.wall_ns, prof_totals[span]) << span;
+    EXPECT_EQ(st.calls, prof_counts[span]) << span;
+  }
 }
 
 TEST_F(ObsProf, ReportJsonShapeAndNamesRollup) {

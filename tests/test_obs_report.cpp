@@ -1,4 +1,4 @@
-// RunReport: stage bookkeeping, ScopedStage timing, absorb() aggregation,
+// RunReport: stage bookkeeping, ObsSpan stage timing, absorb() aggregation,
 // the fixed-order JSON serialization (golden), and the io::report_io JSONL
 // round trip including its error handling.
 
@@ -8,7 +8,10 @@
 #include <stdexcept>
 
 #include "io/report_io.hpp"
+#include "obs/config.hpp"
+#include "obs/prof.hpp"
 #include "obs/run_report.hpp"
+#include "obs/trace.hpp"
 
 using namespace starlab;
 
@@ -59,28 +62,51 @@ TEST(ObsReport, AddValueOverwritesAndValueOrFallsBack) {
   EXPECT_DOUBLE_EQ(r.value_or("absent", -1.0), -1.0);
 }
 
-TEST(ObsReport, ScopedStageNullptrIsANoOp) {
-  const obs::ScopedStage stage(nullptr);  // must not crash or read the clock
-}
-
-TEST(ObsReport, ScopedStageAccumulatesWallClockAndCalls) {
+// Stages are timed by ObsSpan. With obs off a span never reads the clock
+// (elapsed_ns() stays 0), leaves its stage untouched and records nothing.
+TEST(ObsReport, SpanWithObsOffLeavesStageUntouched) {
+  obs::set_config(obs::Config::disabled());
+  obs::TraceRecorder::instance().clear();
+  obs::Profiler::instance().clear();
   obs::StageStat st;
   st.name = "work";
   {
-    const obs::ScopedStage s(&st);
+    const obs::ObsSpan span("work", &st);
+    EXPECT_EQ(span.elapsed_ns(), 0u);
   }
-  {
-    const obs::ScopedStage s(&st);
-  }
+  { const obs::ObsSpan span("work"); }  // no stage: must not crash
+  EXPECT_EQ(st.wall_ns, 0u);
+  EXPECT_EQ(st.calls, 0u);
+  EXPECT_EQ(obs::TraceRecorder::instance().size(), 0u);
+  EXPECT_EQ(obs::Profiler::instance().size(), 0u);
+}
+
+// Metrics alone (the mode benches writing JSON run in) is enough for a span
+// to time its stage, while the trace and the profile stay empty.
+TEST(ObsReport, SpanInMetricsOnlyModeAccumulatesStage) {
+  obs::TraceRecorder::instance().clear();
+  obs::Profiler::instance().clear();
+  obs::set_config({/*metrics=*/true, /*tracing=*/false, /*profiling=*/false});
+  obs::StageStat st;
+  st.name = "work";
+  { const obs::ObsSpan span("work", &st); }
+  { const obs::ObsSpan span("work", &st); }
   EXPECT_EQ(st.calls, 2u);
-  // Monotonic clock: elapsed can be tiny but never negative; the counter
-  // only grows.
   const std::uint64_t after_two = st.wall_ns;
+  std::uint64_t seen = 0;
   {
-    const obs::ScopedStage s(&st);
+    const obs::ObsSpan span("work", &st);
+    for (int spin = 0; spin < 1000000 && seen == 0; ++spin) {
+      seen = span.elapsed_ns();
+    }
   }
-  EXPECT_GE(st.wall_ns, after_two);
+  obs::set_config(obs::Config::disabled());
+  // The close's one measurement covers at least what elapsed_ns() saw.
+  EXPECT_GT(seen, 0u);
+  EXPECT_GE(st.wall_ns - after_two, seen);
   EXPECT_EQ(st.calls, 3u);
+  EXPECT_EQ(obs::TraceRecorder::instance().size(), 0u);
+  EXPECT_EQ(obs::Profiler::instance().size(), 0u);
 }
 
 TEST(ObsReport, AbsorbSumsCountsStagesAndRecomputesAccuracy) {
