@@ -117,6 +117,29 @@ void BM_VisibleFromGen2(benchmark::State& state) {
 }
 BENCHMARK(BM_VisibleFromGen2)->Name("BM_VisibleFrom/gen2");
 
+void TerminalCandidates(benchmark::State& state, const core::Scenario& s) {
+  // One terminal's annotated field of view against a shared snapshot (the
+  // campaign's per-terminal cost): spatial-index query, obstruction mask
+  // and the GSO exclusion test per candidate. Propagation is outside.
+  const time::JulianDate jd =
+      time::JulianDate::from_unix_seconds(s.epoch_unix());
+  const auto snaps = s.catalog().propagate_all(jd);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        s.terminal(0).candidates_from_snapshots(s.catalog(), snaps, jd));
+  }
+}
+
+void BM_TerminalCandidates(benchmark::State& state) {
+  TerminalCandidates(state, sc());
+}
+BENCHMARK(BM_TerminalCandidates);
+
+void BM_TerminalCandidatesGen2(benchmark::State& state) {
+  TerminalCandidates(state, bench::gen2_scenario());
+}
+BENCHMARK(BM_TerminalCandidatesGen2)->Name("BM_TerminalCandidates/gen2");
+
 void BM_SchedulerAllocate(benchmark::State& state) {
   time::SlotIndex slot = sc().first_slot();
   for (auto _ : state) {

@@ -8,26 +8,23 @@ Terminal::Terminal(TerminalConfig config)
 
 std::vector<Candidate> Terminal::candidates(
     const constellation::Catalog& catalog, const time::JulianDate& jd) const {
-  std::vector<Candidate> out;
-  for (constellation::SkyEntry& e :
-       catalog.visible_from(config_.site, jd, config_.min_elevation)) {
-    Candidate c;
-    c.obstructed = config_.mask.blocked(e.look.azimuth(), e.look.elevation());
-    c.gso_excluded = gso_arc_->excluded(e.look.azimuth(), e.look.elevation(),
-                                        config_.gso_protection);
-    c.sky = std::move(e);
-    out.push_back(std::move(c));
-  }
-  return out;
+  return annotate(
+      catalog.visible_from(config_.site, jd, config_.min_elevation));
 }
 
 std::vector<Candidate> Terminal::candidates_from_snapshots(
     const constellation::Catalog& catalog,
     std::span<const constellation::Catalog::Snapshot> snapshots,
     const time::JulianDate& jd) const {
+  return annotate(catalog.visible_from_snapshots(
+      snapshots, config_.site, jd, config_.min_elevation));
+}
+
+std::vector<Candidate> Terminal::annotate(
+    std::vector<constellation::SkyEntry> visible) const {
   std::vector<Candidate> out;
-  for (constellation::SkyEntry& e : catalog.visible_from_snapshots(
-           snapshots, config_.site, jd, config_.min_elevation)) {
+  out.reserve(visible.size());
+  for (constellation::SkyEntry& e : visible) {
     Candidate c;
     c.obstructed = config_.mask.blocked(e.look.azimuth(), e.look.elevation());
     c.gso_excluded = gso_arc_->excluded(e.look.azimuth(), e.look.elevation(),

@@ -68,6 +68,10 @@ class Terminal {
       const time::JulianDate& jd) const;
 
  private:
+  /// Flags each visible entry as obstructed and/or GSO-excluded.
+  [[nodiscard]] std::vector<Candidate> annotate(
+      std::vector<constellation::SkyEntry> visible) const;
+
   TerminalConfig config_;
   std::unique_ptr<geo::GsoArc> gso_arc_;  ///< precomputed per site
 };

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "geo/geodetic.hpp"
+#include "geo/gso_arc.hpp"
 #include "geo/topocentric.hpp"
 #include "ground/obstruction_mask.hpp"
 #include "obsmap/map_geometry.hpp"
@@ -84,6 +87,18 @@ TEST_F(ContractsTest, DegenerateMapGeometryRejected) {
   EXPECT_THROW(
       (void)geometry.pixel_of(geo::Deg(120.0), geo::Deg(45.0)),
       ContractViolation);
+}
+
+TEST_F(ContractsTest, GsoArcRejectsNonPositiveStep) {
+  // Each of these steps would never advance the arc's longitude loop.
+  const geo::Geodetic iowa{41.661, -91.530, 0.22};
+  for (const double step :
+       {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(geo::GsoArc(iowa, geo::Deg(step)), ContractViolation)
+        << "step " << step;
+  }
+  EXPECT_NO_THROW(geo::GsoArc(iowa, geo::Deg(0.5)));
 }
 
 TEST_F(ContractsTest, LookAnglesPostconditionsHoldOnRealGeometry) {

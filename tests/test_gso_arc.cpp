@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <random>
 
 #include "geo/angles.hpp"
 
@@ -82,6 +84,74 @@ TEST(GsoArc, SeparationIsContinuousAcrossAzimuth) {
     const double cur = arc.separation(Deg(az), Deg(45.0)).value();
     EXPECT_LT(std::fabs(cur - prev), 3.0) << "jump at az " << az;
     prev = cur;
+  }
+}
+
+TEST(GsoArc, ExcludedAgreesWithExactSeparation) {
+  // `excluded` is a dot-product filter with an exact fallback; it must equal
+  // the reference predicate everywhere, including right at the boundary.
+  struct Arc {
+    const char* name;
+    GsoArc arc;
+  };
+  const Arc arcs[] = {
+      {"iowa", GsoArc(kIowa)},
+      {"ithaca", GsoArc(Geodetic{42.44, -76.50, 0.25})},
+      {"sydney", GsoArc(Geodetic{-33.9, 151.2, 0.0})},
+      {"equator", GsoArc(Geodetic{0.0, 0.0, 0.0})},
+      {"madrid", GsoArc(Geodetic{40.42, -3.70, 0.65})},
+      {"alert+5", GsoArc(Geodetic{85.0, -62.0, 0.0}, Deg(0.5), Deg(5.0))},
+  };
+  EXPECT_TRUE(arcs[5].arc.samples().empty());
+
+  const auto agree = [](const Arc& a, double az, double el, double p) {
+    const bool exact = a.arc.separation(Deg(az), Deg(el)) < Deg(p);
+    EXPECT_EQ(a.arc.excluded(Deg(az), Deg(el), Deg(p)), exact)
+        << a.name << " az=" << az << " el=" << el << " protection=" << p;
+    return exact;
+  };
+
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::mt19937_64 rng(15);
+  std::uniform_real_distribution<double> u_az(0.0, 360.0);
+  std::uniform_real_distribution<double> u_el(-10.0, 90.0);
+  std::uniform_real_distribution<double> u_p(0.0, 40.0);
+  for (const Arc& a : arcs) {
+    std::size_t inside = 0;
+    for (int i = 0; i < 4000; ++i) {
+      inside += agree(a, u_az(rng), u_el(rng), u_p(rng)) ? 1 : 0;
+    }
+    if (!a.arc.samples().empty()) {
+      EXPECT_GT(inside, 0u) << a.name;
+    }
+
+    // Boundary band: the protection equals the probe's own separation, or
+    // sits one ulp or 1e-12 deg to either side of it. Probes are drawn near
+    // the arc so the separations are realistic protection angles.
+    for (int i = 0; i < 1500; ++i) {
+      const double az = u_az(rng), el = u_el(rng);
+      const double sep = a.arc.separation(Deg(az), Deg(el)).value();
+      if (sep > 180.0) continue;  // no arc: nothing to straddle
+      for (const double p :
+           {sep, sep - 1e-12, sep + 1e-12,
+            std::nextafter(sep, -1.0), std::nextafter(sep, 181.0)}) {
+        agree(a, az, el, p);
+      }
+    }
+
+    // Degenerate protections and inputs.
+    for (const double p : {0.0, 1e-12, 12.0, 180.0, -1.0, kNaN}) {
+      agree(a, 180.0, 40.0, p);
+      agree(a, 0.0, 60.0, p);
+      agree(a, 97.25, 5.0, p);
+      agree(a, kNaN, 40.0, p);
+      agree(a, 180.0, kNaN, p);
+      agree(a, kNaN, kNaN, p);
+      agree(a, -30.0, 40.0, p);  // azimuths outside [0, 360)
+      agree(a, 900.0, 40.0, p);
+      agree(a, 1e7, 40.0, p);
+      agree(a, std::numeric_limits<double>::infinity(), 40.0, p);
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "ground/sites.hpp"
 #include "test_helpers.hpp"
 
@@ -55,6 +57,49 @@ TEST(Terminal, GsoExclusionRemovesSouthernHighSky) {
     }
   }
   EXPECT_TRUE(saw_excluded);
+}
+
+TEST(Terminal, GsoFlagEqualsExactPredicateAllDay) {
+  // Every candidate over a day of one-minute slots carries exactly the
+  // reference predicate `separation < gso_protection` as its GSO flag: at
+  // the paper terminal's own protection, and at a protection pinned to one
+  // candidate's exact separation (or the next double above it), which only
+  // the exact fallback can decide.
+  const Terminal& iowa = small_scenario().terminal(0);
+  const TerminalConfig cfg = paper_terminal_config(Site::kIowa);
+  ASSERT_EQ(iowa.name(), cfg.name);
+  std::size_t excluded = 0, clear = 0;
+  const auto check = [&](const Terminal& t, geo::Deg protection,
+                         const std::vector<Candidate>& cands, int slot) {
+    for (const Candidate& c : cands) {
+      const bool exact = t.gso_arc().separation(c.sky.look.azimuth(),
+                                                c.sky.look.elevation()) <
+                         protection;
+      EXPECT_EQ(c.gso_excluded, exact)
+          << "slot " << slot << " norad " << c.sky.norad_id
+          << " protection " << protection.value();
+      ++(exact ? excluded : clear);
+    }
+  };
+  for (int k = 0; k < 1440; ++k) {
+    const auto jd = epoch_jd().plus_seconds(k * 60.0);
+    const auto cands = iowa.candidates(small_scenario().catalog(), jd);
+    check(iowa, cfg.gso_protection, cands, k);
+    if (k % 8 != 0 || cands.empty()) continue;
+    const double sep = iowa.gso_arc()
+                           .separation(cands.front().sky.look.azimuth(),
+                                       cands.front().sky.look.elevation())
+                           .value();
+    for (const double p : {sep, std::nextafter(sep, 181.0)}) {
+      TerminalConfig edge = cfg;
+      edge.gso_protection = geo::Deg(p);
+      const Terminal pinned(edge);
+      check(pinned, edge.gso_protection,
+            pinned.candidates(small_scenario().catalog(), jd), k);
+    }
+  }
+  EXPECT_GT(excluded, 0u);
+  EXPECT_GT(clear, 0u);
 }
 
 TEST(Terminal, IthacaMaskBlocksNorthWest) {
