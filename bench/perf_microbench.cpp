@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -247,6 +248,47 @@ BENCHMARK(BM_ForestFit)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ForestFitClusters(benchmark::State& state) {
+  // The section-6 shape on one thread: a local hour plus 250 sparse
+  // per-cluster counts, 250 classes, ~1,500 rows, 20 trees.
+  exec::configure({1});
+  static const ml::Dataset data = [] {
+    constexpr int kClusters = 250;
+    ml::Dataset d(1 + kClusters, {},
+                  std::vector<std::string>(kClusters, "cluster"));
+    std::mt19937 rng(29);
+    std::uniform_int_distribution<int> cluster(0, kClusters - 1);
+    std::uniform_int_distribution<int> popular(0, 24);
+    std::uniform_int_distribution<int> visible(6, 14);
+    for (int i = 0; i < 1500; ++i) {
+      std::vector<double> row(1 + kClusters, 0.0);
+      row[0] = static_cast<double>(i % 96) * 0.25;  // 15-min local hour
+      int label = -1;
+      const int n = visible(rng);
+      for (int k = 0; k < n; ++k) {
+        const int c = k % 2 == 0 ? popular(rng) : cluster(rng);
+        row[1 + static_cast<std::size_t>(c)] += 1.0;
+        if (label < 0 || (c < label && row[0] < 12.0)) label = c;
+      }
+      d.add_row(row, label);
+    }
+    return d;
+  }();
+  ml::ForestConfig cfg;
+  cfg.num_trees = 20;
+  for (auto _ : state) {
+    ml::RandomForest forest(cfg);
+    forest.fit(data);
+    benchmark::DoNotOptimize(forest.trees().size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          cfg.num_trees);
+  exec::configure({});
+}
+BENCHMARK(BM_ForestFitClusters)
+    ->Name("BM_ForestFit/clusters")
     ->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally records each benchmark's ns/op as a

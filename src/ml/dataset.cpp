@@ -1,6 +1,7 @@
 #include "ml/dataset.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -11,6 +12,13 @@ void Dataset::add_row(std::span<const double> features, int label) {
     throw std::invalid_argument("feature width mismatch");
   }
   if (label < 0) throw std::invalid_argument("labels must be non-negative");
+  // NaN has no place in a sorted feature column (no strict weak order), and
+  // the split search ranks every value among its column's distinct values.
+  for (const double v : features) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument("feature values must be finite");
+    }
+  }
   values_.insert(values_.end(), features.begin(), features.end());
   labels_.push_back(label);
 }

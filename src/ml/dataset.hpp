@@ -23,6 +23,8 @@ class Dataset {
         feature_names_(std::move(feature_names)),
         class_names_(std::move(class_names)) {}
 
+  /// Throws std::invalid_argument on a width mismatch, a negative label or
+  /// a non-finite feature value.
   void add_row(std::span<const double> features, int label);
 
   [[nodiscard]] std::size_t size() const { return labels_.size(); }

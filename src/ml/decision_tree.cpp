@@ -11,12 +11,17 @@ namespace starlab::ml {
 
 namespace {
 
-double gini_from_counts(const std::vector<std::size_t>& counts,
-                        std::size_t n) {
+/// Gini impurity of `n` samples whose class counts are `count(c)`, summed
+/// over `present` (ascending). A class outside `present` has count 0 and
+/// would add exactly +0.0 to the sum of squares, so the result has the
+/// same bits as a sum over every class.
+template <typename Count>
+double gini(std::span<const int> present, std::size_t n, Count count) {
   if (n == 0) return 0.0;
   double sum_sq = 0.0;
-  for (const std::size_t c : counts) {
-    const double p = static_cast<double>(c) / static_cast<double>(n);
+  for (const int c : present) {
+    const double p = static_cast<double>(count(static_cast<std::size_t>(c))) /
+                     static_cast<double>(n);
     sum_sq += p * p;
   }
   return 1.0 - sum_sq;
@@ -24,15 +29,70 @@ double gini_from_counts(const std::vector<std::size_t>& counts,
 
 }  // namespace
 
+FeatureRanks::FeatureRanks(const Dataset& data)
+    : rows_(data.size()),
+      distinct_(data.num_features()),
+      ranks_(data.num_features() * data.size()) {
+  // Row-major passes over the matrix: one column at a time would stride
+  // through all of it once per feature. Skipping a value equal to the one
+  // just gathered leaves a sparse count column a few runs long to sort.
+  for (std::vector<double>& values : distinct_) values.reserve(rows_);
+  for (std::size_t row = 0; row < rows_; ++row) {
+    const std::span<const double> x = data.row(row);
+    for (std::size_t f = 0; f < x.size(); ++f) {
+      std::vector<double>& values = distinct_[f];
+      if (values.empty() || values.back() != x[f]) values.push_back(x[f]);
+    }
+  }
+  for (std::vector<double>& values : distinct_) {
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    values.shrink_to_fit();
+  }
+  for (std::size_t row = 0; row < rows_; ++row) {
+    const std::span<const double> x = data.row(row);
+    for (std::size_t f = 0; f < x.size(); ++f) {
+      const std::vector<double>& values = distinct_[f];
+      ranks_[f * rows_ + row] = static_cast<std::uint32_t>(
+          std::lower_bound(values.begin(), values.end(), x[f]) -
+          values.begin());
+    }
+  }
+}
+
+struct DecisionTree::FitState {
+  const Dataset& data;
+  const FeatureRanks& ranks;
+  std::vector<std::size_t> indices;  ///< partitioned in place down the tree
+  std::mt19937_64& rng;
+
+  // Scratch shared by every node; a node is done with it before recursing.
+  struct Entry {
+    std::uint32_t rank;
+    int label;
+  };
+  std::vector<std::size_t> counts;       ///< per class, in the node
+  std::vector<std::size_t> left_counts;  ///< per class, left of the boundary
+  std::vector<int> present;              ///< classes with counts > 0, ascending
+  std::vector<std::size_t> features;     ///< the node's mtry sample
+  std::vector<std::uint32_t> offsets;    ///< counting-sort bucket starts
+  std::vector<Entry> sorted;             ///< the node's rows in rank order
+};
+
 void DecisionTree::fit(const Dataset& data,
+                       std::span<const std::size_t> indices,
+                       std::mt19937_64& rng) {
+  fit(data, FeatureRanks(data), indices, rng);
+}
+
+void DecisionTree::fit(const Dataset& data, const FeatureRanks& ranks,
                        std::span<const std::size_t> indices,
                        std::mt19937_64& rng) {
   nodes_.clear();
   num_classes_ = data.num_classes();
   impurity_decrease_.assign(data.num_features(), 0.0);
 
-  std::vector<std::size_t> work(indices.begin(), indices.end());
-  if (work.empty()) {
+  if (indices.empty()) {
     // Degenerate: a single uniform leaf.
     Node leaf;
     leaf.proba.assign(static_cast<std::size_t>(std::max(num_classes_, 1)),
@@ -40,7 +100,24 @@ void DecisionTree::fit(const Dataset& data,
     nodes_.push_back(std::move(leaf));
     return;
   }
-  build(data, work, 0, work.size(), 0, rng);
+
+  const auto classes = static_cast<std::size_t>(num_classes_);
+  std::size_t max_distinct = 0;
+  for (std::size_t f = 0; f < data.num_features(); ++f) {
+    max_distinct = std::max(max_distinct, ranks.distinct(f).size());
+  }
+  FitState fs{data,
+              ranks,
+              {indices.begin(), indices.end()},
+              rng,
+              std::vector<std::size_t>(classes),
+              std::vector<std::size_t>(classes),
+              {},
+              std::vector<std::size_t>(data.num_features()),
+              std::vector<std::uint32_t>(max_distinct + 1),
+              std::vector<FitState::Entry>(indices.size())};
+  fs.present.reserve(classes);
+  build(fs, 0, fs.indices.size(), 0);
 }
 
 void DecisionTree::fit(const Dataset& data, std::mt19937_64& rng) {
@@ -49,16 +126,23 @@ void DecisionTree::fit(const Dataset& data, std::mt19937_64& rng) {
   fit(data, idx, rng);
 }
 
-int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& indices,
-                        std::size_t begin, std::size_t end, int depth,
-                        std::mt19937_64& rng) {
+int DecisionTree::build(FitState& fs, std::size_t begin, std::size_t end,
+                        int depth) {
+  const Dataset& data = fs.data;
+  std::vector<std::size_t>& indices = fs.indices;
   const std::size_t n = end - begin;
 
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_classes_), 0);
+  std::vector<std::size_t>& counts = fs.counts;
+  std::fill(counts.begin(), counts.end(), 0);
   for (std::size_t i = begin; i < end; ++i) {
     ++counts[static_cast<std::size_t>(data.label(indices[i]))];
   }
-  const double node_gini = gini_from_counts(counts, n);
+  fs.present.clear();
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    if (counts[c] > 0) fs.present.push_back(static_cast<int>(c));
+  }
+  const double node_gini =
+      gini(fs.present, n, [&](std::size_t c) { return counts[c]; });
 
   const bool pure = node_gini <= 0.0;
   const bool too_small = n < static_cast<std::size_t>(config_.min_samples_split);
@@ -77,7 +161,7 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& indices,
   if (pure || too_small || too_deep) return make_leaf();
 
   // Candidate feature subset.
-  std::vector<std::size_t> features(data.num_features());
+  std::vector<std::size_t>& features = fs.features;
   std::iota(features.begin(), features.end(), 0);
   std::size_t num_try = features.size();
   if (config_.mtry > 0 &&
@@ -86,7 +170,7 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& indices,
     // Partial Fisher-Yates: the first num_try entries become the sample.
     for (std::size_t i = 0; i < num_try; ++i) {
       std::uniform_int_distribution<std::size_t> pick(i, features.size() - 1);
-      std::swap(features[i], features[pick(rng)]);
+      std::swap(features[i], features[pick(fs.rng)]);
     }
   }
 
@@ -97,32 +181,43 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& indices,
     double threshold = 0.0;
   } best;
 
-  std::vector<std::pair<double, int>> column(n);  // (value, label)
   const auto min_leaf = static_cast<std::size_t>(config_.min_samples_leaf);
+  std::vector<std::size_t>& left_counts = fs.left_counts;
+  const auto left_count = [&](std::size_t c) { return left_counts[c]; };
+  const auto right_count = [&](std::size_t c) {
+    return counts[c] - left_counts[c];
+  };
+  FitState::Entry* const sorted = fs.sorted.data();
 
   for (std::size_t fi = 0; fi < num_try; ++fi) {
     const std::size_t f = features[fi];
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t row = indices[begin + i];
-      column[i] = {data.row(row)[f], data.label(row)};
-    }
-    std::sort(column.begin(), column.end());
+    const std::span<const std::uint32_t> rank = fs.ranks.ranks(f);
+    const std::span<const double> values = fs.ranks.distinct(f);
 
-    std::vector<std::size_t> left_counts(counts.size(), 0);
+    // Counting sort of the node's (rank, label) pairs by rank: offsets[r]
+    // becomes the first slot of rank r.
+    std::uint32_t* const offsets = fs.offsets.data();
+    std::fill_n(offsets, values.size() + 1, 0U);
+    for (std::size_t i = begin; i < end; ++i) ++offsets[rank[indices[i]] + 1];
+    for (std::size_t r = 1; r < values.size(); ++r) {
+      offsets[r] += offsets[r - 1];
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t row = indices[i];
+      sorted[offsets[rank[row]]++] = {rank[row], data.label(row)};
+    }
+
+    for (const int c : fs.present) left_counts[static_cast<std::size_t>(c)] = 0;
     for (std::size_t i = 0; i + 1 < n; ++i) {
-      ++left_counts[static_cast<std::size_t>(column[i].second)];
+      ++left_counts[static_cast<std::size_t>(sorted[i].label)];
       // Split only between distinct values.
-      if (column[i].first == column[i + 1].first) continue;
+      if (sorted[i].rank == sorted[i + 1].rank) continue;
       const std::size_t nl = i + 1;
       const std::size_t nr = n - nl;
       if (nl < min_leaf || nr < min_leaf) continue;
 
-      std::vector<std::size_t> right_counts(counts.size());
-      for (std::size_t c = 0; c < counts.size(); ++c) {
-        right_counts[c] = counts[c] - left_counts[c];
-      }
-      const double gl = gini_from_counts(left_counts, nl);
-      const double gr = gini_from_counts(right_counts, nr);
+      const double gl = gini(fs.present, nl, left_count);
+      const double gr = gini(fs.present, nr, right_count);
       const double weighted =
           (static_cast<double>(nl) * gl + static_cast<double>(nr) * gr) /
           static_cast<double>(n);
@@ -130,7 +225,8 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& indices,
       if (gain > best.gain + 1e-15) {
         best.gain = gain;
         best.feature = f;
-        best.threshold = 0.5 * (column[i].first + column[i + 1].first);
+        best.threshold =
+            0.5 * (values[sorted[i].rank] + values[sorted[i + 1].rank]);
       }
     }
   }
@@ -153,8 +249,8 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& indices,
   // Reserve this node's slot before recursing so children land after it.
   nodes_.emplace_back();
   const auto node_id = static_cast<int>(nodes_.size() - 1);
-  const int left = build(data, indices, begin, mid, depth + 1, rng);
-  const int right = build(data, indices, mid, end, depth + 1, rng);
+  const int left = build(fs, begin, mid, depth + 1);
+  const int right = build(fs, mid, end, depth + 1);
 
   Node& node = nodes_[static_cast<std::size_t>(node_id)];
   node.feature = static_cast<int>(best.feature);

@@ -4,6 +4,7 @@
 // random forest. Supports per-split feature subsampling (mtry) and exposes
 // per-feature impurity-decrease totals for gini importances.
 
+#include <cstdint>
 #include <iosfwd>
 #include <random>
 #include <span>
@@ -12,6 +13,30 @@
 #include "ml/dataset.hpp"
 
 namespace starlab::ml {
+
+/// Every feature value of a dataset replaced by its rank among that
+/// feature's distinct values (distinct under `==`, so -0.0 and +0.0 share
+/// a rank). Built once per dataset and read-only afterwards, so a forest
+/// shares one table across all of its trees; the split search
+/// counting-sorts a node's rows by rank instead of sorting values.
+class FeatureRanks {
+ public:
+  explicit FeatureRanks(const Dataset& data);
+
+  /// Feature `f`'s distinct values, ascending; rank r names distinct(f)[r].
+  [[nodiscard]] std::span<const double> distinct(std::size_t f) const {
+    return distinct_[f];
+  }
+  /// Feature `f`'s rank for every row, indexed by row.
+  [[nodiscard]] std::span<const std::uint32_t> ranks(std::size_t f) const {
+    return {ranks_.data() + f * rows_, rows_};
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::vector<std::vector<double>> distinct_;
+  std::vector<std::uint32_t> ranks_;  ///< column-major: [f * rows + row]
+};
 
 struct TreeConfig {
   int max_depth = 14;
@@ -30,6 +55,11 @@ class DecisionTree {
   /// bootstrap sample repeats indices).
   void fit(const Dataset& data, std::span<const std::size_t> indices,
            std::mt19937_64& rng);
+
+  /// Same, with a rank table already built from `data` (a forest builds
+  /// one and shares it). The fitted tree is identical either way.
+  void fit(const Dataset& data, const FeatureRanks& ranks,
+           std::span<const std::size_t> indices, std::mt19937_64& rng);
 
   /// Convenience: fit on the full dataset.
   void fit(const Dataset& data, std::mt19937_64& rng);
@@ -66,9 +96,8 @@ class DecisionTree {
     std::vector<double> proba;  ///< leaf class distribution
   };
 
-  int build(const Dataset& data, std::vector<std::size_t>& indices,
-            std::size_t begin, std::size_t end, int depth,
-            std::mt19937_64& rng);
+  struct FitState;  ///< inputs and reusable scratch of one fit
+  int build(FitState& fs, std::size_t begin, std::size_t end, int depth);
 
   TreeConfig config_;
   int num_classes_ = 0;

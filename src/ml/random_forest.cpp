@@ -57,7 +57,9 @@ void RandomForest::fit(const Dataset& data) {
 
   // Each tree draws from its own splitmix64-derived stream, so tree t's
   // bootstrap sample and split choices depend only on (config.seed, t) —
-  // never on thread scheduling. Trees land in their slot by index.
+  // never on thread scheduling. Trees land in their slot by index. All
+  // trees split on one rank table, built here and only read on the pool.
+  const FeatureRanks ranks(data);
   trees_.assign(static_cast<std::size_t>(config_.num_trees),
                 DecisionTree(tree_cfg));
   exec::default_pool().parallel_for(
@@ -73,20 +75,19 @@ void RandomForest::fit(const Dataset& data) {
           if (config_.compute_oob) in_bag[s] = true;
         }
 
-        trees_[t].fit(data, sample, rng);
+        trees_[t].fit(data, ranks, sample, rng);
 
         if (config_.compute_oob) {
-          std::vector<int> local(
-              data.size() * static_cast<std::size_t>(num_classes_), 0);
+          // One predicted class per out-of-bag row (-1 when in bag).
+          std::vector<int> predicted(data.size(), -1);
           for (std::size_t i = 0; i < data.size(); ++i) {
-            if (in_bag[i]) continue;
-            const int predicted = trees_[t].predict(data.row(i));
-            local[i * static_cast<std::size_t>(num_classes_) +
-                  static_cast<std::size_t>(predicted)] += 1;
+            if (!in_bag[i]) predicted[i] = trees_[t].predict(data.row(i));
           }
           const check::MutexLock lock(oob.mu);
-          for (std::size_t i = 0; i < oob.votes.size(); ++i) {
-            oob.votes[i] += local[i];
+          for (std::size_t i = 0; i < predicted.size(); ++i) {
+            if (predicted[i] < 0) continue;
+            oob.votes[i * static_cast<std::size_t>(num_classes_) +
+                      static_cast<std::size_t>(predicted[i])] += 1;
           }
         }
       });

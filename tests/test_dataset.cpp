@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 namespace starlab::ml {
@@ -43,6 +44,21 @@ TEST(Dataset, RejectsBadRows) {
                std::invalid_argument);
   EXPECT_THROW(d.add_row(std::vector<double>{1.0, 2.0}, -1),
                std::invalid_argument);
+}
+
+TEST(Dataset, RejectsNonFiniteFeatures) {
+  Dataset d(2);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(d.add_row(std::vector<double>{1.0, bad}, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(d.add_row(std::vector<double>{bad, 1.0}, 0),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(d.size(), 0u);  // a rejected row is not half-added
+  d.add_row(std::vector<double>{-0.0, 1e308}, 0);
+  EXPECT_EQ(d.size(), 1u);
 }
 
 TEST(Dataset, SubsetPreservesRows) {
