@@ -24,24 +24,25 @@ struct SweepRow {
   std::size_t decided = 0;
   std::size_t abstained = 0;
   std::size_t degraded = 0;  ///< rows with any quality flag
+  std::size_t flagged = 0;   ///< rows carrying the injector's own flag
   double accuracy = 0.0;     ///< on decided slots
   double mean_confidence = 0.0;
 };
 
 void print_csv(const std::vector<SweepRow>& rows) {
   std::printf(
-      "injector,rate,slots,decided,abstained,degraded,"
+      "injector,rate,slots,decided,abstained,degraded,flagged,"
       "accuracy_decided,mean_confidence\n");
   for (const SweepRow& r : rows) {
-    std::printf("%s,%.6g,%zu,%zu,%zu,%zu,%.4f,%.4f\n", r.injector, r.rate,
-                r.slots, r.decided, r.abstained, r.degraded, r.accuracy,
-                r.mean_confidence);
+    std::printf("%s,%.6g,%zu,%zu,%zu,%zu,%zu,%.4f,%.4f\n", r.injector, r.rate,
+                r.slots, r.decided, r.abstained, r.degraded, r.flagged,
+                r.accuracy, r.mean_confidence);
   }
 }
 
 SweepRow pipeline_row(const core::Scenario& sc, const char* injector,
-                      double rate, const fault::FaultPlan& plan,
-                      double duration_sec) {
+                      std::uint32_t flag, double rate,
+                      const fault::FaultPlan& plan, double duration_sec) {
   core::PipelineConfig cfg;
   cfg.faults = plan;
   const core::InferencePipeline pipeline(sc, cfg);
@@ -57,6 +58,7 @@ SweepRow pipeline_row(const core::Scenario& sc, const char* injector,
     row.decided += result.report.decided;
     row.abstained += result.report.abstained;
     row.degraded += result.report.degraded;
+    row.flagged += result.flagged(flag);
     confidence_sum += result.report.value_or("mean_confidence", 0.0) *
                       static_cast<double>(result.report.decided);
     // Pool accuracy across terminals, weighted by decided slots.
@@ -82,6 +84,7 @@ obs::RunReport row_report(const SweepRow& r) {
   rep.degraded = r.degraded;
   rep.accuracy = r.accuracy;
   rep.add_value("rate", r.rate);
+  rep.add_value("flagged", static_cast<double>(r.flagged));
   rep.add_value("mean_confidence", r.mean_confidence);
   return rep;
 }
@@ -134,6 +137,13 @@ int main(int argc, char** argv) {
   loaded.frame.drop_rate = 0.3;
   loaded.frame.bit_flip_rate = 0.01;
   loaded.dropout.rate = 0.3;
+  // The gate proves nothing unless the plan can fire at full intensity and
+  // fires nothing at zero.
+  const bool plan_ok =
+      loaded.enabled() && !loaded.with_intensity(0.0).enabled();
+  bench::print_comparison("plan fires at intensity 1, not at 0", "yes",
+                          plan_ok ? "yes" : "NO");
+  if (!plan_ok) return 1;
 
   const core::InferencePipeline clean_pipeline(sc);
   core::PipelineConfig zero_cfg;
@@ -173,12 +183,14 @@ int main(int argc, char** argv) {
   for (const double rate : {0.0, 0.025, 0.05, 0.10, 0.20, 0.30}) {
     fault::FaultPlan plan;
     plan.frame.drop_rate = rate;
-    rows.push_back(pipeline_row(sc, "frame_drop", rate, plan, duration));
+    rows.push_back(pipeline_row(sc, "frame_drop", core::quality::kFrameMissing,
+                                rate, plan, duration));
   }
   for (const double rate : {1e-4, 5e-4, 2e-3, 1e-2}) {
     fault::FaultPlan plan;
     plan.frame.bit_flip_rate = rate;
-    rows.push_back(pipeline_row(sc, "bit_flip", rate, plan, duration));
+    rows.push_back(pipeline_row(sc, "bit_flip", core::quality::kFrameCorrupted,
+                                rate, plan, duration));
   }
 
   // Dropout acts on the campaign's candidate sets rather than on frames;
@@ -202,6 +214,7 @@ int main(int argc, char** argv) {
     std::size_t baseline_match = 0, checked = 0;
     for (std::size_t i = 0; i < data.slots.size(); ++i) {
       const core::SlotObs& s = data.slots[i];
+      if ((s.quality & core::quality::kCandidateDropout) != 0) ++row.flagged;
       if (!s.has_choice()) continue;
       confidence_sum += s.confidence;
       // "Accuracy" for dropout: does the scheduler still pick the same

@@ -96,6 +96,27 @@ int main(int argc, char** argv) {
   });
   const double overhead_pct = (journaled_ms / plain_ms - 1.0) * 100.0;
 
+  // The paper's path with fault recovery: the supervised inferred campaign
+  // must match the unsupervised one byte for byte, then cost little more.
+  const core::InferencePipeline pipeline(scenario);
+  constexpr double kInferredSec = 300.0;  // 20 slots x 4 terminals
+  const resilience::SupervisorConfig supervisor{};
+  {
+    const bool identical =
+        campaign_bytes(resilience::run_inferred_campaign_supervised(
+            pipeline, kInferredSec, supervisor)) ==
+        campaign_bytes(pipeline.run_inferred_campaign(kInferredSec));
+    bench::print_comparison("supervised inferred == inferred", "bit-identical",
+                            identical ? "bit-identical" : "DIVERGED");
+    if (!identical) return 1;
+  }
+  const double inferred_ms = median_ms(
+      kReps, [&] { (void)pipeline.run_inferred_campaign(kInferredSec); });
+  const double supervised_ms = median_ms(kReps, [&] {
+    (void)resilience::run_inferred_campaign_supervised(pipeline, kInferredSec,
+                                                       supervisor);
+  });
+
   // Payoff: resuming the complete journal vs recomputing.
   (void)resilience::run_campaign_durable(scenario, config, journaled);
   const double resume_ms = median_ms(kReps, [&] {
@@ -111,6 +132,9 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof(buf), "%.2f ms (%.1fx)", resume_ms,
                 plain_ms / std::max(resume_ms, 1e-9));
   bench::print_comparison("resume from full journal", "-", buf);
+  std::snprintf(buf, sizeof(buf), "%.2f ms (%+.2f %%)", supervised_ms,
+                (supervised_ms / inferred_ms - 1.0) * 100.0);
+  bench::print_comparison("supervised inferred campaign", "-", buf);
 
   obs::RunReport report;
   report.kind = "bench";
@@ -120,6 +144,8 @@ int main(int argc, char** argv) {
   report.add_value("journaled_ms", journaled_ms);
   report.add_value("overhead_pct", overhead_pct);
   report.add_value("resume_ms", resume_ms);
+  report.add_value("inferred_ms", inferred_ms);
+  report.add_value("supervised_inferred_ms", supervised_ms);
   sink.add(report);
 
   io::remove_journal(kJournalPath);

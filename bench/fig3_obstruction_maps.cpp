@@ -53,6 +53,13 @@ int main(int argc, char** argv) {
     std::printf("  wrote %s\n", name);
   }
 
+  // Persistent pixels in a frame come from the terminal's own obstructions.
+  for (const ground::Terminal& t : sc.terminals()) {
+    std::printf("  %s: %.1f%% of the sky above the FoV floor obstructed\n",
+                t.name().c_str(),
+                100.0 * t.mask().obstructed_fraction(t.min_elevation()));
+  }
+
   bench::print_header("Fig 3e: long-exposure frame (no reset) + §4.1 recovery");
   obs::Stopwatch timer;
   const auto recovered =

@@ -54,6 +54,11 @@ int main(int argc, char** argv) {
       if (ok) ++correct;
       std::printf("  ->  NORAD %d (DTW %.2f) %s\n", id.best->norad_id,
                   id.best->dtw, ok ? "== truth" : "!= truth");
+      // The launch batch is what §5's launch-recency analysis keys on.
+      if (const auto index = scenario.catalog().index_of(id.best->norad_id)) {
+        std::printf("      launch batch %s\n",
+                    scenario.catalog().record(*index).launch_label.c_str());
+      }
       // Show the runner-up gap: how unambiguous was the match?
       if (id.ranked.size() > 1) {
         std::printf("      runner-up NORAD %d at DTW %.2f (%.0fx worse)\n",

@@ -21,9 +21,6 @@ class Ecdf {
 
   [[nodiscard]] std::size_t size() const { return sorted_.size(); }
   [[nodiscard]] bool empty() const { return sorted_.empty(); }
-  [[nodiscard]] const std::vector<double>& sorted_samples() const {
-    return sorted_;
-  }
 
   /// Evaluate at evenly spaced points across [lo, hi] — one printable
   /// figure series.

@@ -1,7 +1,5 @@
 #include "analysis/histogram.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 namespace starlab::analysis {
@@ -15,57 +13,10 @@ Histogram::Histogram(double lo, double hi, std::size_t num_bins)
 
 void Histogram::add(double value) {
   ++total_;
-  if (value < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (value >= hi_) {
-    ++overflow_;
-    return;
-  }
+  if (value < lo_ || value >= hi_) return;
   auto bin = static_cast<std::size_t>((value - lo_) / bin_width_);
   if (bin >= counts_.size()) bin = counts_.size() - 1;  // fp edge
   ++counts_[bin];
-}
-
-void Histogram::add_all(std::span<const double> values) {
-  for (const double v : values) add(v);
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + static_cast<double>(bin) * bin_width_;
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  return bin_lo(bin) + 0.5 * bin_width_;
-}
-
-double Histogram::fraction(std::size_t bin) const {
-  const std::size_t in_range = total_ - underflow_ - overflow_;
-  if (in_range == 0) return 0.0;
-  return static_cast<double>(counts_[bin]) / static_cast<double>(in_range);
-}
-
-std::size_t Histogram::mode_bin() const {
-  return static_cast<std::size_t>(
-      std::max_element(counts_.begin(), counts_.end()) - counts_.begin());
-}
-
-std::string Histogram::to_text(int width) const {
-  const std::size_t peak = counts_[mode_bin()];
-  std::string out;
-  char line[160];
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const int bar =
-        peak == 0 ? 0
-                  : static_cast<int>(static_cast<double>(counts_[b]) /
-                                     static_cast<double>(peak) * width);
-    std::snprintf(line, sizeof(line), "%10.2f %-*s %zu\n", bin_lo(b),
-                  width, std::string(static_cast<std::size_t>(bar), '#').c_str(),
-                  counts_[b]);
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace starlab::analysis

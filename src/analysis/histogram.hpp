@@ -1,52 +1,30 @@
 #pragma once
 
 // Fixed-bin histograms: the counting side of the §5 analyses (launch-month
-// bins, azimuth quadrants, AOE bands) and the text-bar renderings the bench
-// binaries print.
+// bins, azimuth quadrants, AOE bands).
 
-#include <span>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace starlab::analysis {
 
 class Histogram {
  public:
-  /// `num_bins` equal-width bins over [lo, hi); values outside are counted
-  /// in the under/overflow tallies, not in any bin.
+  /// `num_bins` equal-width bins over [lo, hi); values outside count toward
+  /// total() but land in no bin.
   Histogram(double lo, double hi, std::size_t num_bins);
 
   void add(double value);
-  void add_all(std::span<const double> values);
 
   [[nodiscard]] std::size_t num_bins() const { return counts_.size(); }
   [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_[bin]; }
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
   [[nodiscard]] std::size_t total() const { return total_; }
-
-  /// Centre of a bin.
-  [[nodiscard]] double bin_center(std::size_t bin) const;
-  /// Lower edge of a bin.
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-
-  /// Fraction of in-range values in a bin (0 when empty).
-  [[nodiscard]] double fraction(std::size_t bin) const;
-
-  /// Index of the fullest bin (first on ties).
-  [[nodiscard]] std::size_t mode_bin() const;
-
-  /// Text rendering: one "<lo> <bar> <count>" line per bin, bars scaled to
-  /// `width` characters at the mode.
-  [[nodiscard]] std::string to_text(int width = 50) const;
 
  private:
   double lo_;
   double hi_;
   double bin_width_;
   std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
   std::size_t total_ = 0;
 };
 

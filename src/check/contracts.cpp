@@ -47,11 +47,13 @@ Mode mode() {
   return g_mode.load(std::memory_order_relaxed);
 }
 
+// starlint:allow(reachability): test seam; switches violations to log mode
 void set_mode(Mode m) {
   std::call_once(g_env_once, init_mode_from_env);  // env never overrides later
   g_mode.store(m, std::memory_order_relaxed);
 }
 
+// starlint:allow(reachability): test seam; counts violations in log mode
 std::uint64_t violation_count() {
   return g_violations.load(std::memory_order_relaxed);
 }

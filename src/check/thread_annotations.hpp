@@ -92,7 +92,6 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { mu_.lock(); }
   void unlock() RELEASE() { mu_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   /// The wrapped mutex, for interop that stays invisible to the analysis
   /// (CondVar re-acquires through it while the capability is formally held).
@@ -131,7 +130,6 @@ class CondVar {
     lock.release();  // the caller's MutexLock still owns the capability
   }
 
-  void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
  private:

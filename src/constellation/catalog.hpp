@@ -84,10 +84,11 @@ class Catalog {
     bool sunlit = true;
   };
 
-  /// Propagate the whole catalog once for an instant. Campaigns evaluating
-  /// several terminals at the same slot call this once and then
-  /// visible_from_snapshots() per terminal. Delegates to
-  /// propagate_all_batch; bit-identical at any thread count.
+  /// Propagate the whole catalog once for an instant, for
+  /// visible_from_snapshots(). Its only callers are the benchmark driver's
+  /// per-layer replay and tests; the shipped paths query the spatial index
+  /// per terminal instead. Delegates to propagate_all_batch; bit-identical
+  /// at any thread count.
   [[nodiscard]] std::vector<Snapshot> propagate_all(
       const time::JulianDate& jd) const {
     return propagate_all_batch(jd);
@@ -114,8 +115,8 @@ class Catalog {
       std::span<const Snapshot> snapshots, const geo::Geodetic& observer,
       const time::JulianDate& jd, geo::Deg min_elevation = geo::Deg(25.0)) const;
 
-  /// The spatial candidate index built over this catalog (for tests and
-  /// diagnostics).
+  /// The spatial candidate index built over this catalog.
+  // starlint:allow(reachability): test seam; tests diff it against the scan
   [[nodiscard]] const SpatialIndex& spatial_index() const { return index_; }
 
   /// Look angles of one satellite from an observer (no elevation cut).

@@ -57,10 +57,4 @@ WalkerShell starlink_gen2_shell() {
   return {geo::Deg(53.0), geo::Km(525.0), 120, 45, 11, geo::Deg(1.5)};
 }
 
-std::vector<WalkerShell> starlink_gen2_shells() {
-  std::vector<WalkerShell> shells = starlink_gen1_shells();
-  shells.push_back(starlink_gen2_shell());
-  return shells;
-}
-
 }  // namespace starlab::constellation

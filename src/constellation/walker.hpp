@@ -53,7 +53,4 @@ struct WalkerElement {
 /// 53 deg, 525 km, 120 planes x 45 slots (5400 satellites).
 [[nodiscard]] WalkerShell starlink_gen2_shell();
 
-/// Gen1 plus the Gen2 extension shell (~9.6k satellites total).
-[[nodiscard]] std::vector<WalkerShell> starlink_gen2_shells();
-
 }  // namespace starlab::constellation

@@ -122,8 +122,6 @@ CampaignData run_campaign(const Scenario& scenario,
   CampaignData data;
   data.report.kind = "campaign";
   data.report.label = "oracle";
-  obs::StageStat* st_propagate =
-      timed ? &data.report.stage("propagate") : nullptr;
   obs::StageStat* st_candidates =
       timed ? &data.report.stage("candidates") : nullptr;
   obs::StageStat* st_allocate = timed ? &data.report.stage("allocate") : nullptr;
@@ -143,7 +141,7 @@ CampaignData run_campaign(const Scenario& scenario,
 
   // Every (slot, terminal) observation depends only on (slot, terminal):
   // the oracle is stateless in both, the dropout injector is hash-keyed, and
-  // one catalog propagation is shared by a slot's terminals. Slots are
+  // each terminal queries the catalog's spatial index on its own. Slots are
   // therefore independent work items, partitioned over the exec pool and
   // flattened back in slot order — bit-identical to the former serial loop
   // at any thread count. The record_* fields select an index sub-window of
@@ -166,16 +164,16 @@ CampaignData run_campaign(const Scenario& scenario,
   // report, so the stage path needs no lock.
   struct SlotWork {
     std::vector<SlotObs> rows;
-    obs::StageStat propagate, candidates, allocate;
+    obs::StageStat candidates, allocate;
   };
   std::vector<SlotWork> per_slot(slot_ids.size());
 
-  // Each chunk pays queueing, and a slot costs a whole catalog propagation
-  // anyway — so never split below four slots per chunk. Short benchmark
-  // slices (a dozen slots) otherwise shard into single-slot chunks on wide
-  // pools and run slower at eight threads than at one. The partition only
-  // changes which worker computes a slot, never the per-slot results, so
-  // output stays bit-identical.
+  // Each chunk pays queueing, while a slot costs only one spatial-index
+  // query and one allocation per terminal — so never split below four slots
+  // per chunk. Short benchmark slices (a dozen slots) otherwise shard into
+  // single-slot chunks on wide pools and run slower at eight threads than
+  // at one. The partition only changes which worker computes a slot, never
+  // the per-slot results, so output stays bit-identical.
   constexpr std::size_t kMinSlotsPerChunk = 4;
   exec::default_pool().parallel_for_chunks(
       slot_ids.size(), kMinSlotsPerChunk,
@@ -187,18 +185,12 @@ CampaignData run_campaign(const Scenario& scenario,
           const double t_mid = grid.slot_mid(s);
           const time::JulianDate jd = time::JulianDate::from_unix_seconds(t_mid);
 
-          // One catalog propagation shared by every terminal in this slot.
-          const std::vector<constellation::Catalog::Snapshot> snaps = [&] {
-            const obs::ObsSpan span("campaign.propagate", &work.propagate);
-            return catalog.propagate_all(jd);
-          }();
-
           for (std::size_t ti = 0; ti < scenario.terminals().size(); ++ti) {
             const ground::Terminal& terminal = scenario.terminal(ti);
             std::vector<ground::Candidate> candidates = [&] {
               const obs::ObsSpan span("campaign.candidates",
                                       &work.candidates);
-              return terminal.candidates_from_snapshots(catalog, snaps, jd);
+              return terminal.candidates(catalog, jd);
             }();
 
             bool any_dropped = false;
@@ -253,7 +245,6 @@ CampaignData run_campaign(const Scenario& scenario,
   for (SlotWork& work : per_slot) {
     for (SlotObs& row : work.rows) data.slots.push_back(std::move(row));
     if (timed) {
-      add_cell(st_propagate, work.propagate);
       add_cell(st_candidates, work.candidates);
       add_cell(st_allocate, work.allocate);
     }

@@ -80,53 +80,14 @@ void PipelineResult::summarize() {
                        ? 0.0
                        : confidence_sum /
                              static_cast<double>(report.decided));
-  summarized_ = true;
-}
-
-double PipelineResult::accuracy() const {
-  if (summarized_) return report.accuracy;
-  std::size_t correct = 0, total = 0;
-  for (const SlotIdentification& r : rows) {
-    if (r.truth_norad.has_value() && r.inferred_norad.has_value()) {
-      ++total;
-      if (r.correct()) ++correct;
-    }
-  }
-  return total == 0 ? 0.0
-                    : static_cast<double>(correct) / static_cast<double>(total);
-}
-
-std::size_t PipelineResult::decided() const {
-  if (summarized_) return report.decided;
-  std::size_t n = 0;
-  for (const SlotIdentification& r : rows) {
-    if (r.inferred_norad.has_value()) ++n;
-  }
-  return n;
-}
-
-std::size_t PipelineResult::abstained() const {
-  if (summarized_) return report.abstained;
-  std::size_t n = 0;
-  for (const SlotIdentification& r : rows) {
-    if (r.abstained()) ++n;
-  }
-  return n;
 }
 
 std::size_t PipelineResult::flagged(std::uint32_t quality_bit) const {
-  if (summarized_) {
-    if (const char* name = quality::flag_name(quality_bit)) {
-      for (const auto& [n, count] : report.quality) {
-        if (n == name) return count;
-      }
-    }
+  const char* name = quality::flag_name(quality_bit);
+  for (const auto& [flag, count] : report.quality) {
+    if (name != nullptr && flag == name) return count;
   }
-  std::size_t n = 0;
-  for (const SlotIdentification& r : rows) {
-    if ((r.quality & quality_bit) != 0) ++n;
-  }
-  return n;
+  return 0;
 }
 
 InferencePipeline::InferencePipeline(const Scenario& scenario,

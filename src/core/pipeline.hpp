@@ -47,30 +47,25 @@ struct PipelineResult {
   std::vector<SlotIdentification> rows;
   /// Run summary: stage timings (when observability is on), slot counts,
   /// per-quality-flag and per-abstention-reason tallies, the fault plan in
-  /// force. Filled once by InferencePipeline::run via summarize(); the
-  /// accessors below read it instead of re-scanning `rows` per call.
+  /// force. Filled by summarize(); the accessors below read only it.
   obs::RunReport report;
 
-  /// Recompute the report's slot summary from `rows` (run() calls this;
-  /// call it again only after mutating `rows` by hand).
+  /// Compute the report's slot summary from `rows`. run() calls it; a
+  /// result built or edited by hand must call it before the accessors.
   void summarize();
 
   /// Fraction of decided slots (both truth and inference present) that are
   /// correct — the §4 validation metric.
-  [[nodiscard]] double accuracy() const;
+  [[nodiscard]] double accuracy() const { return report.accuracy; }
 
   /// Number of slots where the pipeline produced an answer.
-  [[nodiscard]] std::size_t decided() const;
+  [[nodiscard]] std::size_t decided() const { return report.decided; }
 
   /// Number of slots where the identifier explicitly declined to answer.
-  [[nodiscard]] std::size_t abstained() const;
+  [[nodiscard]] std::size_t abstained() const { return report.abstained; }
 
-  /// Number of rows carrying a given quality:: flag.
+  /// Number of rows carrying one quality:: flag bit.
   [[nodiscard]] std::size_t flagged(std::uint32_t quality_bit) const;
-
- private:
-  /// True once summarize() ran; hand-built results fall back to scanning.
-  bool summarized_ = false;
 };
 
 struct PipelineConfig {

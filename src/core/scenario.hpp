@@ -63,10 +63,6 @@ class Scenario {
   [[nodiscard]] const scheduler::GlobalScheduler& global_scheduler() const {
     return *global_;
   }
-  /// The attached gateway network, or nullptr when disabled.
-  [[nodiscard]] const ground::GatewayNetwork* gateway_network() const {
-    return gateways_ ? gateways_.get() : nullptr;
-  }
   [[nodiscard]] const scheduler::MacScheduler& mac_scheduler() const {
     return mac_;
   }

@@ -56,10 +56,6 @@ class CancelToken {
     return d != 0 && obs::monotonic_ns() >= d;
   }
 
-  [[nodiscard]] bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed) || deadline_expired();
-  }
-
   /// Throw TaskCancelled when tripped; the polling point for task bodies.
   void check() const {
     if (cancelled_.load(std::memory_order_relaxed)) {

@@ -66,8 +66,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-bool ThreadPool::on_worker_thread() { return t_on_worker; }
-
 void ThreadPool::worker_loop() {
   t_on_worker = true;
   for (;;) {
@@ -205,7 +203,5 @@ void configure(const Config& config) {
   const check::MutexLock lock(g_default_mu);
   g_default_pool = std::make_unique<ThreadPool>(config);
 }
-
-int default_num_threads() { return default_pool().num_threads(); }
 
 }  // namespace starlab::exec

@@ -41,6 +41,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  // starlint:allow(reachability): test seam; tests check the pool's size
   [[nodiscard]] int num_threads() const { return num_threads_; }
 
   /// Run body(begin, end) over `num_threads()` contiguous chunks of [0, n).
@@ -74,10 +75,6 @@ class ThreadPool {
     });
   }
 
-  /// True when the calling thread is one of this pool's workers (nested
-  /// parallel_for then runs inline).
-  [[nodiscard]] static bool on_worker_thread();
-
  private:
   void worker_loop();
   /// Pop-and-run one queued task; false when the queue is empty.
@@ -102,8 +99,5 @@ class ThreadPool {
 /// Replace the default pool (joins the old workers first). Not safe to call
 /// while another thread is inside default_pool().parallel_for.
 void configure(const Config& config);
-
-/// Thread count of the current default pool.
-[[nodiscard]] int default_num_threads();
 
 }  // namespace starlab::exec

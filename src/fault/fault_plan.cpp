@@ -39,12 +39,6 @@ std::vector<Field> schema() {
        [](FaultPlan& p) -> double& { return p.clock.step_interval_sec; }},
       {"clock.drift_ppm",
        [](FaultPlan& p) -> double& { return p.clock.drift_ppm; }},
-      {"tle.corrupt_rate",
-       [](FaultPlan& p) -> double& { return p.tle.corrupt_rate; }},
-      {"tle.truncate_rate",
-       [](FaultPlan& p) -> double& { return p.tle.truncate_rate; }},
-      {"tle.stale_days",
-       [](FaultPlan& p) -> double& { return p.tle.stale_days; }},
       {"dropout.rate", [](FaultPlan& p) -> double& { return p.dropout.rate; }},
       {"exec.task_fail_rate",
        [](FaultPlan& p) -> double& { return p.exec.task_fail_rate; }},
@@ -65,9 +59,7 @@ bool FaultPlan::enabled() const {
   return frame.drop_rate > 0.0 || frame.bit_flip_rate > 0.0 ||
          rtt.extra_loss_rate > 0.0 || rtt.spike_rate > 0.0 ||
          clock.step_ms > 0.0 || clock.drift_ppm > 0.0 ||
-         tle.corrupt_rate > 0.0 || tle.truncate_rate > 0.0 ||
-         tle.stale_days > 0.0 || dropout.rate > 0.0 ||
-         exec.task_fail_rate > 0.0;
+         dropout.rate > 0.0 || exec.task_fail_rate > 0.0;
 }
 
 FaultPlan FaultPlan::with_intensity(double value) const {

@@ -5,13 +5,13 @@
 // Real Starlink campaigns are not clean: gRPC obstruction-map polls fail or
 // return corrupted frames, probe streams suffer loss bursts beyond the
 // nominal link loss, vantage-point clocks step and drift between NTP
-// corrections, CelesTrak pulls go stale or arrive truncated, and satellites
-// vanish from the usable set for a slot at a time. A FaultPlan describes all
-// of those degradations in one place so a scenario, campaign or pipeline run
-// can be stressed reproducibly: every injector draws its decisions from
-// counter-based hashes of (plan seed, entity, slot), never from shared RNG
-// state, so the same plan replays the same faults and `intensity == 0`
-// is bit-identical to running with no plan at all.
+// corrections, and satellites vanish from the usable set for a slot at a
+// time. A FaultPlan describes all of those degradations in one place so a
+// scenario, campaign or pipeline run can be stressed reproducibly: every
+// injector draws its decisions from counter-based hashes of (plan seed,
+// entity, slot), never from shared RNG state, so the same plan replays the
+// same faults and `intensity == 0` is bit-identical to running with no plan
+// at all.
 
 #include <cstdint>
 #include <string>
@@ -51,18 +51,6 @@ struct ClockFaultConfig {
   double drift_ppm = 0.0;
 };
 
-/// TLE catalog faults (stale or damaged CelesTrak pulls).
-struct TleFaultConfig {
-  /// Probability that a record has one element-line character corrupted
-  /// (breaking its checksum, so a strict parse rejects it).
-  double corrupt_rate = 0.0;
-  /// Probability that a record loses its second element line entirely.
-  double truncate_rate = 0.0;
-  /// Age every record's epoch by this many days (stale catalog; checksums
-  /// are recomputed, so the records stay parseable but propagate badly).
-  double stale_days = 0.0;
-};
-
 /// Per-slot satellite dropout: a candidate vanishes from the usable set for
 /// one slot (thermal safe-mode, beam maintenance, telemetry gap).
 struct DropoutFaultConfig {
@@ -89,7 +77,6 @@ struct FaultPlan {
   FrameFaultConfig frame;
   RttFaultConfig rtt;
   ClockFaultConfig clock;
-  TleFaultConfig tle;
   DropoutFaultConfig dropout;
   ExecFaultConfig exec;
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "scheduler/stochastic.hpp"
-#include "tle/catalog_io.hpp"
 
 namespace starlab::fault {
 
@@ -21,17 +19,11 @@ constexpr std::uint64_t kTagDropout = 0xFA03;
 constexpr std::uint64_t kTagSpike = 0xFA04;
 constexpr std::uint64_t kTagClockStep = 0xFA05;
 constexpr std::uint64_t kTagGeSeed = 0xFA06;
-constexpr std::uint64_t kTagTleLine = 0xFA07;
 constexpr std::uint64_t kTagTaskFail = 0xFA08;
 
 double draw(std::uint64_t seed, std::uint64_t tag, std::uint64_t a,
             std::uint64_t b = 0) {
   return scheduler::uniform01(scheduler::mix_keys(seed, tag, a, b));
-}
-
-int days_in_year(int year) {
-  const bool leap = (year % 4 == 0 && year % 100 != 0) || year % 400 == 0;
-  return leap ? 366 : 365;
 }
 
 }  // namespace
@@ -138,83 +130,6 @@ void ClockFaultInjector::apply(measurement::RttSeries& series) const {
   for (measurement::RttSample& s : series.samples) {
     s.unix_sec += offset_sec(s.unix_sec);
   }
-}
-
-std::string TleFaultInjector::corrupt_catalog(const std::string& text) const {
-  const double corrupt_rate = plan_.tle.corrupt_rate * plan_.intensity;
-  const double truncate_rate = plan_.tle.truncate_rate * plan_.intensity;
-  const double stale_days = plan_.tle.stale_days * plan_.intensity;
-  if (corrupt_rate <= 0.0 && truncate_rate <= 0.0 && stale_days <= 0.0) {
-    return text;
-  }
-
-  std::vector<std::string> lines;
-  {
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-      while (!line.empty() && line.back() == '\r') line.pop_back();
-      lines.push_back(line);
-    }
-  }
-
-  auto is_element_line = [](const std::string& s, char which) {
-    return s.size() >= 2 && s[0] == which && s[1] == ' ';
-  };
-
-  std::ostringstream out;
-  std::uint64_t record = 0;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (!(is_element_line(lines[i], '1') && i + 1 < lines.size() &&
-          is_element_line(lines[i + 1], '2'))) {
-      out << lines[i] << '\n';
-      continue;
-    }
-
-    std::string line1 = lines[i];
-    std::string line2 = lines[i + 1];
-    ++i;  // consume line 2 as well
-    const std::uint64_t r = record++;
-
-    if (stale_days > 0.0) {
-      try {
-        tle::Tle t = tle::Tle::parse(line1, line2);
-        t.epoch_day -= stale_days;
-        while (t.epoch_day < 1.0) {
-          --t.epoch_year;
-          t.epoch_day += days_in_year(t.epoch_year);
-        }
-        line1 = t.format_line1();
-        line2 = t.format_line2();
-      } catch (const tle::TleParseError&) {
-        // Already-damaged input records pass through untouched.
-      }
-    }
-
-    if (draw(plan_.seed, kTagTleLine, r, 1) < truncate_rate) {
-      out << line1 << '\n';  // line 2 lost in transit
-      continue;
-    }
-    if (draw(plan_.seed, kTagTleLine, r, 2) < corrupt_rate) {
-      // Flip one character of one element line to a different digit; any
-      // such change breaks the record's mod-10 checksum.
-      const std::uint64_t key = scheduler::mix_keys(plan_.seed, kTagTleLine, r, 3);
-      std::string& victim = (key & 1) ? line2 : line1;
-      if (victim.size() >= 69) {
-        const auto pos = static_cast<std::size_t>((key >> 1) % 60) + 2;
-        const char old = victim[pos];
-        // Replacement chosen so the checksum contribution always changes by
-        // exactly 1 (mod 10): '-' counts as 1, digits as themselves, other
-        // characters as 0.
-        if (old == '9') victim[pos] = '0';
-        else if (old >= '0' && old <= '8') victim[pos] = static_cast<char>(old + 1);
-        else if (old == '-') victim[pos] = '2';
-        else victim[pos] = '1';
-      }
-    }
-    out << line1 << '\n' << line2 << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace starlab::fault

@@ -87,21 +87,6 @@ class ClockFaultInjector {
   FaultPlan plan_;
 };
 
-/// Damages TLE catalog text the way stale or truncated CelesTrak pulls do.
-/// Pair with tle::read_catalog_lenient to measure skip-and-report behavior.
-class TleFaultInjector {
- public:
-  explicit TleFaultInjector(const FaultPlan& plan) : plan_(plan) {}
-
-  /// Corrupt a 3-line/2-line catalog text: per-record character corruption
-  /// (breaks the checksum), line-2 truncation, and epoch staleness (aged by
-  /// stale_days with checksums recomputed, so stale records still parse).
-  [[nodiscard]] std::string corrupt_catalog(const std::string& text) const;
-
- private:
-  FaultPlan plan_;
-};
-
 /// Crashes supervised task attempts (the resilience supervisor's retry and
 /// quarantine paths). Keyed by (task, attempt): the same plan crashes the
 /// same attempts of the same tasks on every replay, and a task whose first
@@ -149,18 +134,15 @@ class WriteKillPoint {
     const std::uint64_t granted = want < remaining_ ? want : remaining_;
     remaining_ -= granted;
     granted_ += granted;
-    if (granted < want) killed_ = true;
     return granted;
   }
 
-  [[nodiscard]] bool killed() const { return killed_; }
   /// Total bytes granted so far (== the kill offset once killed).
   [[nodiscard]] std::uint64_t granted() const { return granted_; }
 
  private:
   std::uint64_t remaining_;
   std::uint64_t granted_ = 0;
-  bool killed_ = false;
 };
 
 }  // namespace starlab::fault

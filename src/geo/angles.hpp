@@ -40,9 +40,4 @@ inline constexpr double kRadPerDeg = std::numbers::pi / 180.0;
   return w;
 }
 
-/// Smallest absolute difference between two angles in degrees, in [0, 180].
-[[nodiscard]] inline double angular_difference_deg(double a, double b) {
-  return std::fabs(wrap_180(a - b));
-}
-
 }  // namespace starlab::geo

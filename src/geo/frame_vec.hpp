@@ -65,9 +65,6 @@ class FrameVec3 {
   [[nodiscard]] constexpr double dot(const FrameVec3& o) const {
     return v_.dot(o.v_);
   }
-  [[nodiscard]] constexpr FrameVec3 cross(const FrameVec3& o) const {
-    return FrameVec3(v_.cross(o.v_));
-  }
   [[nodiscard]] double norm() const { return v_.norm(); }
   [[nodiscard]] constexpr double norm_sq() const { return v_.norm_sq(); }
   [[nodiscard]] FrameVec3 normalized() const { return FrameVec3(v_.normalized()); }

@@ -24,18 +24,6 @@ Vec3 ecef_to_sez(const Geodetic& obs, const Vec3& d) {
           cos_lat * cos_lon * d.x + cos_lat * sin_lon * d.y + sin_lat * d.z};
 }
 
-/// Rotate an SEZ vector back into ECEF axes.
-Vec3 sez_to_ecef(const Geodetic& obs, const Vec3& s) {
-  const double lat = deg_to_rad(obs.latitude_deg);
-  const double lon = deg_to_rad(obs.longitude_deg);
-  const double sin_lat = std::sin(lat), cos_lat = std::cos(lat);
-  const double sin_lon = std::sin(lon), cos_lon = std::cos(lon);
-
-  return {sin_lat * cos_lon * s.x - sin_lon * s.y + cos_lat * cos_lon * s.z,
-          sin_lat * sin_lon * s.x + cos_lon * s.y + cos_lat * sin_lon * s.z,
-          -cos_lat * s.x + sin_lat * s.z};
-}
-
 }  // namespace
 
 STARLAB_HOTPATH LookAngles look_angles(const Geodetic& observer,
@@ -57,16 +45,6 @@ STARLAB_HOTPATH LookAngles look_angles(const Geodetic& observer,
   STARLAB_ENSURE(out.azimuth_deg >= 0.0 && out.azimuth_deg < 360.0,
                  "azimuth out of [0, 360): " + std::to_string(out.azimuth_deg));
   return out;
-}
-
-EcefKm direction_from_look(const Geodetic& observer, Deg azimuth,
-                           Deg elevation) {
-  const double az = to_rad(azimuth).value();
-  const double el = to_rad(elevation).value();
-  // SEZ components of a unit vector at (az, el).
-  const Vec3 sez{-std::cos(el) * std::cos(az), std::cos(el) * std::sin(az),
-                 std::sin(el)};
-  return EcefKm(sez_to_ecef(observer, sez));
 }
 
 Deg sky_separation(Deg az1_in, Deg el1_in, Deg az2_in, Deg el2_in) {

@@ -30,11 +30,6 @@ struct LookAngles {
 [[nodiscard]] LookAngles look_angles(const Geodetic& observer,
                                      const EcefKm& target_ecef_km);
 
-/// Inverse-ish helper: the ECEF unit direction corresponding to (az, el) in
-/// the observer's sky. Used to project obstruction-map pixels back into 3-d.
-[[nodiscard]] EcefKm direction_from_look(const Geodetic& observer, Deg azimuth,
-                                         Deg elevation);
-
 /// Angular separation between two sky directions (az/el pairs), treated as
 /// points on the observer's celestial sphere.
 [[nodiscard]] Deg sky_separation(Deg az1, Deg el1, Deg az2, Deg el2);

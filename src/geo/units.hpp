@@ -91,9 +91,6 @@ using Km = Quantity<KmTag>;
 [[nodiscard]] inline Deg wrap_360(Deg d) { return Deg(wrap_360(d.value())); }
 [[nodiscard]] inline Deg wrap_180(Deg d) { return Deg(wrap_180(d.value())); }
 [[nodiscard]] inline Rad wrap_two_pi(Rad r) { return Rad(wrap_two_pi(r.value())); }
-[[nodiscard]] inline Deg angular_difference(Deg a, Deg b) {
-  return Deg(angular_difference_deg(a.value(), b.value()));
-}
 
 namespace literals {
 [[nodiscard]] constexpr Deg operator""_deg(long double v) {

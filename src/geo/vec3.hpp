@@ -30,10 +30,6 @@ struct Vec3 {
     return x * o.x + y * o.y + z * o.z;
   }
 
-  [[nodiscard]] constexpr Vec3 cross(const Vec3& o) const {
-    return {y * o.z - z * o.y, z * o.x - x * o.z, x * o.y - y * o.x};
-  }
-
   [[nodiscard]] double norm() const { return std::sqrt(dot(*this)); }
 
   [[nodiscard]] constexpr double norm_sq() const { return dot(*this); }

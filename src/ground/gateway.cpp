@@ -59,15 +59,4 @@ bool GatewayNetwork::has_gateway(const geo::EcefKm& sat_ecef_km) const {
   return false;
 }
 
-int GatewayNetwork::visible_gateways(const geo::EcefKm& sat_ecef_km) const {
-  int n = 0;
-  for (const Gateway& g : gateways_) {
-    if (geo::look_angles(g.site, sat_ecef_km).elevation_deg >=
-        min_elevation_.value()) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 }  // namespace starlab::ground

@@ -44,9 +44,6 @@ class GatewayNetwork {
   /// at least one gateway.
   [[nodiscard]] bool has_gateway(const geo::EcefKm& sat_ecef_km) const;
 
-  /// Number of gateways that currently see the satellite.
-  [[nodiscard]] int visible_gateways(const geo::EcefKm& sat_ecef_km) const;
-
   [[nodiscard]] const std::vector<Gateway>& gateways() const {
     return gateways_;
   }

@@ -45,13 +45,4 @@ TerminalConfig paper_terminal_config(Site site) {
   return cfg;
 }
 
-std::vector<Terminal> paper_terminals() {
-  std::vector<Terminal> out;
-  out.reserve(4);
-  for (Site s : {Site::kIowa, Site::kNewYork, Site::kMadrid, Site::kWashington}) {
-    out.emplace_back(paper_terminal_config(s));
-  }
-  return out;
-}
-
 }  // namespace starlab::ground

@@ -26,7 +26,4 @@ enum class Site {
 /// Terminal configuration for one of the paper's vantage points.
 [[nodiscard]] TerminalConfig paper_terminal_config(Site site);
 
-/// All four terminals, in figure-legend order.
-[[nodiscard]] std::vector<Terminal> paper_terminals();
-
 }  // namespace starlab::ground

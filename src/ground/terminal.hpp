@@ -60,8 +60,9 @@ class Terminal {
   [[nodiscard]] std::vector<Candidate> usable_candidates(
       const constellation::Catalog& catalog, const time::JulianDate& jd) const;
 
-  /// candidates() against catalog snapshots precomputed for this instant
-  /// (campaigns share one propagate_all() across all terminals of a slot).
+  /// candidates() against catalog snapshots precomputed for this instant by
+  /// propagate_all(). Its only callers are the benchmark driver's per-layer
+  /// replay and tests; the shipped paths call candidates().
   [[nodiscard]] std::vector<Candidate> candidates_from_snapshots(
       const constellation::Catalog& catalog,
       std::span<const constellation::Catalog::Snapshot> snapshots,

@@ -182,10 +182,4 @@ core::CampaignData load_campaign_file(const std::string& path) {
   return load_campaign(in);
 }
 
-core::CampaignData load_campaign_file_lenient(const std::string& path,
-                                              ParseReport& report) {
-  std::ifstream in = open_input_file(path, "campaign CSV");
-  return load_campaign_lenient(in, report);
-}
-
 }  // namespace starlab::io

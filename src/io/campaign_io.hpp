@@ -38,7 +38,5 @@ void save_campaign(std::ostream& out, const core::CampaignData& data);
 void save_campaign_file(const std::string& path,
                         const core::CampaignData& data);
 [[nodiscard]] core::CampaignData load_campaign_file(const std::string& path);
-[[nodiscard]] core::CampaignData load_campaign_file_lenient(
-    const std::string& path, ParseReport& report);
 
 }  // namespace starlab::io

@@ -76,43 +76,4 @@ std::string csv_width_error(std::size_t row_index_1based, std::size_t expected,
          std::to_string(expected) + " columns, got " + std::to_string(actual);
 }
 
-std::vector<CsvRow> read_csv_checked(std::istream& in,
-                                     std::size_t expected_columns) {
-  std::vector<CsvRow> out;
-  std::string line;
-  std::size_t row_index = 0;
-  while (std::getline(in, line)) {
-    if (line.empty() || line == "\r") continue;
-    ++row_index;
-    CsvRow row = parse_csv_line(line);
-    if (row.size() != expected_columns) {
-      throw std::runtime_error(
-          csv_width_error(row_index, expected_columns, row.size()));
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
-std::vector<CsvRow> read_csv_lenient(std::istream& in,
-                                     std::size_t expected_columns,
-                                     ParseReport& report) {
-  std::vector<CsvRow> out;
-  std::string line;
-  std::size_t row_index = 0;
-  while (std::getline(in, line)) {
-    if (line.empty() || line == "\r") continue;
-    ++row_index;
-    CsvRow row = parse_csv_line(line);
-    if (row.size() != expected_columns) {
-      report.add(row_index,
-                 csv_width_error(row_index, expected_columns, row.size()));
-      continue;
-    }
-    ++report.records_ok;
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
 }  // namespace starlab::io

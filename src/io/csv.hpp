@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "io/parse_report.hpp"
-
 namespace starlab::io {
 
 /// One parsed row.
@@ -30,22 +28,8 @@ void write_csv_row(std::ostream& out, const CsvRow& fields);
 /// Read all rows from a stream, skipping blank lines.
 [[nodiscard]] std::vector<CsvRow> read_csv(std::istream& in);
 
-/// read_csv enforcing a uniform column count: any row that does not have
-/// exactly `expected_columns` fields throws std::runtime_error naming the
-/// 1-based row index and the expected/actual widths — a clear failure at
-/// the parse boundary instead of out-of-range access downstream.
-[[nodiscard]] std::vector<CsvRow> read_csv_checked(std::istream& in,
-                                                   std::size_t expected_columns);
-
-/// Lenient variant: rows with a mismatched column count are skipped and
-/// logged in `report` (row index + expected/actual width); every
-/// well-formed row is kept.
-[[nodiscard]] std::vector<CsvRow> read_csv_lenient(std::istream& in,
-                                                   std::size_t expected_columns,
-                                                   ParseReport& report);
-
-/// The "row 7: expected 11 columns, got 9" message shared by the checked
-/// readers and by callers that validate width themselves.
+/// The "row 7: expected 11 columns, got 9" message of the loaders that
+/// validate row width.
 [[nodiscard]] std::string csv_width_error(std::size_t row_index_1based,
                                           std::size_t expected,
                                           std::size_t actual);

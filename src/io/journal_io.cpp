@@ -252,8 +252,6 @@ void JournalWriter::append(std::string_view payload) {
     throw fault::WriteKilled(kill_->granted());
   }
   segment_size_ += want;
-  bytes_appended_ += want;
-  ++records_appended_;
   if (config_.fsync) (void)::fdatasync(fd_);
 }
 

@@ -88,11 +88,6 @@ class JournalWriter {
   /// Toggle per-append fdatasync (degradation ladder: shed fsync first).
   void set_fsync(bool on) { config_.fsync = on; }
 
-  [[nodiscard]] std::uint64_t bytes_appended() const { return bytes_appended_; }
-  [[nodiscard]] std::size_t records_appended() const {
-    return records_appended_;
-  }
-
  private:
   void open_segment(std::size_t index, std::uint64_t resume_size);
   void write_all(const char* data, std::size_t n);
@@ -102,8 +97,6 @@ class JournalWriter {
   int fd_ = -1;
   std::size_t segment_index_ = 0;
   std::uint64_t segment_size_ = 0;
-  std::uint64_t bytes_appended_ = 0;
-  std::size_t records_appended_ = 0;
 };
 
 }  // namespace starlab::io

@@ -13,7 +13,6 @@
 // includes this without linking starlab::io.
 
 #include <cstddef>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,18 +35,6 @@ struct ParseReport {
   void add(std::size_t line, std::string reason) {
     ++records_skipped;
     issues.push_back({line, std::move(reason)});
-  }
-
-  /// "ok=412 skipped=3: line 17: bad checksum; line 52: ..." (for logs).
-  [[nodiscard]] std::string summary() const {
-    std::ostringstream out;
-    out << "ok=" << records_ok << " skipped=" << records_skipped;
-    const char* sep = ": ";
-    for (const ParseIssue& issue : issues) {
-      out << sep << "line " << issue.line << ": " << issue.reason;
-      sep = "; ";
-    }
-    return out.str();
   }
 };
 

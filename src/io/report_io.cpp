@@ -310,13 +310,6 @@ std::vector<obs::RunReport> load_run_reports(std::istream& in) {
   return out;
 }
 
-void append_run_report_file(const std::string& path,
-                            const obs::RunReport& report) {
-  std::ofstream out(path, std::ios::app);
-  if (!out) throw std::runtime_error("cannot open " + path + " for append");
-  append_run_report(out, report);
-}
-
 void save_run_reports_file(const std::string& path,
                            const std::vector<obs::RunReport>& reports) {
   std::ofstream out(path);

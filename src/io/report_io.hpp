@@ -24,10 +24,7 @@ void save_run_reports(std::ostream& out,
 /// number. Unknown keys are ignored (forward compatibility).
 [[nodiscard]] std::vector<obs::RunReport> load_run_reports(std::istream& in);
 
-/// File conveniences. `append_run_report_file` opens in append mode so
-/// successive runs accumulate a log.
-void append_run_report_file(const std::string& path,
-                            const obs::RunReport& report);
+/// File conveniences.
 void save_run_reports_file(const std::string& path,
                            const std::vector<obs::RunReport>& reports);
 [[nodiscard]] std::vector<obs::RunReport> load_run_reports_file(

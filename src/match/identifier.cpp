@@ -123,15 +123,15 @@ Identification SatelliteIdentifier::identify_isolated(
 
   const time::JulianDate jd_mid =
       time::JulianDate::from_unix_seconds(grid_.slot_mid(slot));
-  // Candidate query: through the spatial index, or against the caller's
-  // whole-catalog snapshots when provided. Both produce the same entries in
-  // the same order.
+  // Candidate query above the terminal's field-of-view floor: through the
+  // spatial index, or against the caller's whole-catalog snapshots when
+  // provided. Both produce the same entries in the same order.
   const std::vector<constellation::SkyEntry> candidates =
       snapshots.empty()
           ? catalog_.visible_from(terminal.site(), jd_mid,
-                                  config_.min_elevation)
+                                  terminal.min_elevation())
           : catalog_.visible_from_snapshots(snapshots, terminal.site(), jd_mid,
-                                            config_.min_elevation);
+                                            terminal.min_elevation());
   out.num_candidates = static_cast<int>(candidates.size());
   metrics.candidates_per_slot.observe(static_cast<double>(candidates.size()));
 

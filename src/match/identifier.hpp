@@ -79,7 +79,6 @@ struct Identification {
 };
 
 struct IdentifierConfig {
-  geo::Deg min_elevation = geo::Deg(25.0);  ///< candidate field-of-view floor
   double sample_interval_sec = 1.0;  ///< candidate-path sampling
   int dtw_band = 16;                 ///< Sakoe-Chiba half-width (pixels ~ samples)
   std::size_t min_trajectory_pixels = 4;  ///< below this, give up

@@ -77,14 +77,4 @@ std::vector<Point2> extract_trajectory(const obsmap::ObstructionMap& isolated,
   return chain_pixels(inside);
 }
 
-std::vector<obsmap::SkyPoint> extract_sky_points(
-    const obsmap::ObstructionMap& isolated,
-    const obsmap::MapGeometry& geometry) {
-  std::vector<obsmap::SkyPoint> out;
-  for (const obsmap::Pixel& p : isolated.set_pixels()) {
-    if (const auto sky = geometry.sky_of(p)) out.push_back(*sky);
-  }
-  return out;
-}
-
 }  // namespace starlab::match

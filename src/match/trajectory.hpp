@@ -33,10 +33,4 @@ namespace starlab::match {
     const obsmap::ObstructionMap& isolated,
     const obsmap::MapGeometry& geometry);
 
-/// Convenience for tests: the (azimuth, elevation) samples of an isolated
-/// frame, unchained.
-[[nodiscard]] std::vector<obsmap::SkyPoint> extract_sky_points(
-    const obsmap::ObstructionMap& isolated,
-    const obsmap::MapGeometry& geometry);
-
 }  // namespace starlab::match

@@ -34,8 +34,4 @@ double ClockModel::offset_ms(double true_unix_sec) const {
   return residual + drift_ms + wander;
 }
 
-double ClockModel::rtt_error_ms(double true_unix_sec, double rtt_ms) const {
-  return offset_ms(true_unix_sec + rtt_ms / 1000.0) - offset_ms(true_unix_sec);
-}
-
 }  // namespace starlab::measurement

@@ -32,18 +32,6 @@ class ClockModel {
   /// post-sync residual is deterministic per sync epoch.
   [[nodiscard]] double offset_ms(double true_unix_sec) const;
 
-  /// Error added to a *one-way* delay measured from this clock to a perfect
-  /// remote clock, for a packet sent at the given true time.
-  [[nodiscard]] double one_way_error_ms(double true_unix_sec) const {
-    return offset_ms(true_unix_sec);
-  }
-
-  /// Error added to an RTT measured entirely against this clock: only the
-  /// drift accumulated over the flight time survives (microseconds for
-  /// LEO RTTs — the reason the paper's RTT methodology is robust).
-  [[nodiscard]] double rtt_error_ms(double true_unix_sec,
-                                    double rtt_ms) const;
-
   [[nodiscard]] const ClockConfig& config() const { return config_; }
 
  private:

@@ -20,6 +20,7 @@ bool GilbertElliott::step() {
   return u_loss < (bad_ ? config_.loss_bad : config_.loss_good);
 }
 
+// starlint:allow(reachability): reference formula for the simulated loss
 double GilbertElliott::stationary_loss_rate() const {
   // Stationary probability of Bad: p_gb / (p_gb + p_bg).
   const double denom = config_.p_good_to_bad + config_.p_bad_to_good;

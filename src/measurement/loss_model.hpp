@@ -30,6 +30,7 @@ class GilbertElliott {
   /// in (seed, call sequence).
   [[nodiscard]] bool step();
 
+  // starlint:allow(reachability): test seam; exposes the hidden channel state
   [[nodiscard]] bool in_bad_state() const { return bad_; }
 
   /// Long-run stationary loss rate implied by the configuration.

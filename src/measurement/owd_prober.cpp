@@ -4,14 +4,6 @@
 
 namespace starlab::measurement {
 
-double OwdSeries::max_clock_error_ms() const {
-  double worst = 0.0;
-  for (const OwdSample& s : samples) {
-    worst = std::max(worst, std::fabs(s.measured_owd_ms - s.true_owd_ms));
-  }
-  return worst;
-}
-
 OwdSeries OwdProber::run(const ground::Terminal& terminal, double start_unix,
                          double end_unix) const {
   OwdSeries series;

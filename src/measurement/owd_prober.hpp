@@ -29,9 +29,6 @@ struct OwdSample {
 struct OwdSeries {
   std::string terminal;
   std::vector<OwdSample> samples;
-
-  /// Largest |measured - true| over the series: the clock's contribution.
-  [[nodiscard]] double max_clock_error_ms() const;
 };
 
 class OwdProber {

@@ -72,34 +72,4 @@ std::vector<IndexSplit> k_fold_splits(std::size_t n, int k,
   return out;
 }
 
-std::vector<IndexSplit> stratified_k_fold_splits(const Dataset& data, int k,
-                                                 std::mt19937_64& rng) {
-  if (k < 2) throw std::invalid_argument("k-fold requires k >= 2");
-
-  // Group indices by class, shuffle within each class, deal round-robin.
-  std::vector<std::vector<std::size_t>> by_class(
-      static_cast<std::size_t>(data.num_classes()));
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    by_class[static_cast<std::size_t>(data.label(i))].push_back(i);
-  }
-
-  std::vector<IndexSplit> out(static_cast<std::size_t>(k));
-  std::size_t deal = 0;
-  for (auto& bucket : by_class) {
-    std::shuffle(bucket.begin(), bucket.end(), rng);
-    for (const std::size_t i : bucket) {
-      out[deal % static_cast<std::size_t>(k)].test.push_back(i);
-      ++deal;
-    }
-  }
-  for (std::size_t f = 0; f < out.size(); ++f) {
-    for (std::size_t g = 0; g < out.size(); ++g) {
-      if (g == f) continue;
-      out[f].train.insert(out[f].train.end(), out[g].test.begin(),
-                          out[g].test.end());
-    }
-  }
-  return out;
-}
-
 }  // namespace starlab::ml

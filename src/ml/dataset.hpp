@@ -70,10 +70,4 @@ struct IndexSplit {
 [[nodiscard]] std::vector<IndexSplit> k_fold_splits(std::size_t n, int k,
                                                     std::mt19937_64& rng);
 
-/// Stratified k-fold: every fold receives an (almost) equal share of each
-/// class, so rare clusters are represented in every training set. Needed
-/// when the §6 label distribution is long-tailed.
-[[nodiscard]] std::vector<IndexSplit> stratified_k_fold_splits(
-    const Dataset& data, int k, std::mt19937_64& rng);
-
 }  // namespace starlab::ml

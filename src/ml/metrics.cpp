@@ -38,20 +38,4 @@ double accuracy(std::span<const int> predictions, std::span<const int> labels) {
   return static_cast<double>(hits) / static_cast<double>(predictions.size());
 }
 
-std::vector<std::vector<std::size_t>> confusion_matrix(
-    std::span<const int> predictions, std::span<const int> labels,
-    int num_classes) {
-  if (predictions.size() != labels.size()) {
-    throw std::invalid_argument("predictions/labels size mismatch");
-  }
-  std::vector<std::vector<std::size_t>> m(
-      static_cast<std::size_t>(num_classes),
-      std::vector<std::size_t>(static_cast<std::size_t>(num_classes), 0));
-  for (std::size_t i = 0; i < predictions.size(); ++i) {
-    m[static_cast<std::size_t>(labels[i])]
-     [static_cast<std::size_t>(predictions[i])] += 1;
-  }
-  return m;
-}
-
 }  // namespace starlab::ml

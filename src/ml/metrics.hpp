@@ -22,9 +22,4 @@ using RankFn = std::vector<int> (*)(std::span<const double>);
 [[nodiscard]] double accuracy(std::span<const int> predictions,
                               std::span<const int> labels);
 
-/// Per-class confusion counts: confusion[truth][predicted].
-[[nodiscard]] std::vector<std::vector<std::size_t>> confusion_matrix(
-    std::span<const int> predictions, std::span<const int> labels,
-    int num_classes);
-
 }  // namespace starlab::ml

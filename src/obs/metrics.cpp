@@ -4,58 +4,6 @@
 
 namespace starlab::obs {
 
-namespace {
-
-/// Prometheus text-exposition escaping for HELP lines: backslash and
-/// newline only (help text may not otherwise break the line protocol).
-std::string prom_escape_help(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// Label-value escaping: backslash, double quote, and newline.
-std::string prom_escape_label(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-}  // namespace
-
-/// Exposed for the conformance tests in tests/test_obs_metrics.cpp.
-std::string prometheus_escape_help(const std::string& s) {
-  return prom_escape_help(s);
-}
-std::string prometheus_escape_label(const std::string& s) {
-  return prom_escape_label(s);
-}
-
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry registry;
   return registry;
@@ -103,6 +51,7 @@ Histogram MetricsRegistry::histogram(const std::string& name,
   return Histogram(&cell);
 }
 
+// starlint:allow(reachability): test seam isolating tests sharing registry
 void MetricsRegistry::reset_values() {
   const check::MutexLock lock(mu_);
   for (detail::CounterCell& c : counters_) {
@@ -118,50 +67,6 @@ void MetricsRegistry::reset_values() {
     h.count.store(0, std::memory_order_relaxed);
     h.sum.store(0.0, std::memory_order_relaxed);
   }
-}
-
-std::string MetricsRegistry::prometheus_text() const {
-  const check::MutexLock lock(mu_);
-  std::string out;
-  const auto header = [&out](const std::string& name, const std::string& help,
-                             const char* type) {
-    if (!help.empty()) {
-      out += "# HELP " + name + " " + prom_escape_help(help) + "\n";
-    }
-    out += "# TYPE " + name + " " + type + "\n";
-  };
-  for (const detail::CounterCell& c : counters_) {
-    // OpenMetrics conformance: a counter's sample is `<name>_total`; the
-    // suffix is appended for the rare counter registered without it.
-    const std::string sample =
-        ends_with(c.name, "_total") ? c.name : c.name + "_total";
-    header(sample, c.help, "counter");
-    out += sample + " " +
-           std::to_string(c.value.load(std::memory_order_relaxed)) + "\n";
-  }
-  for (const detail::GaugeCell& g : gauges_) {
-    header(g.name, g.help, "gauge");
-    out += g.name + " " +
-           json_number(g.value.load(std::memory_order_relaxed)) + "\n";
-  }
-  for (const detail::HistogramCell& h : histograms_) {
-    header(h.name, h.help, "histogram");
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.upper_bounds.size(); ++i) {
-      cumulative += h.buckets[i].load(std::memory_order_relaxed);
-      out += h.name + "_bucket{le=\"" +
-             prom_escape_label(json_number(h.upper_bounds[i])) + "\"} " +
-             std::to_string(cumulative) + "\n";
-    }
-    cumulative +=
-        h.buckets[h.upper_bounds.size()].load(std::memory_order_relaxed);
-    out += h.name + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) + "\n";
-    out += h.name + "_sum " +
-           json_number(h.sum.load(std::memory_order_relaxed)) + "\n";
-    out += h.name + "_count " +
-           std::to_string(h.count.load(std::memory_order_relaxed)) + "\n";
-  }
-  return out;
 }
 
 std::string MetricsRegistry::json() const {

@@ -3,9 +3,9 @@
 // Lock-cheap metrics registry. Instrumentation sites pre-register handles
 // once (a mutex-guarded name lookup) and then record through them lock-free:
 // a counter add is one relaxed atomic fetch_add, gated on the process-wide
-// obs::Config so the default-off cost is a single relaxed load. Export is
-// Prometheus text exposition or JSON; both walk the registry under the
-// registration mutex, which the hot path never takes.
+// obs::Config so the default-off cost is a single relaxed load. The JSON
+// export walks the registry under the registration mutex, which the hot path
+// never takes.
 
 #include <atomic>
 #include <cmath>
@@ -21,11 +21,6 @@
 namespace starlab::obs {
 
 class MetricsRegistry;
-
-/// Prometheus text-exposition escaping (HELP text: `\` and newline; label
-/// values additionally `"`), exposed for the metrics conformance tests.
-[[nodiscard]] std::string prometheus_escape_help(const std::string& s);
-[[nodiscard]] std::string prometheus_escape_label(const std::string& s);
 
 namespace detail {
 
@@ -117,6 +112,7 @@ class Histogram {
   }
 
   /// Count in bucket `i` (not cumulative); i == num_buckets()-1 is +Inf.
+  // starlint:allow(reachability): test seam; tests read single buckets
   [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const {
     return cell_ == nullptr
                ? 0
@@ -159,14 +155,10 @@ class MetricsRegistry {
                       std::vector<double> upper_bounds,
                       const std::string& help = {}) EXCLUDES(mu_);
 
-  /// Zero every value (registrations persist). Tests and run boundaries.
+  /// Zero every value (registrations persist). Only tests call it.
   void reset_values() EXCLUDES(mu_);
 
-  /// Prometheus text exposition format (histograms with cumulative
-  /// `le`-labeled buckets, `_sum` and `_count`).
-  [[nodiscard]] std::string prometheus_text() const EXCLUDES(mu_);
-
-  /// The same content as one JSON object:
+  /// Every value as one JSON object:
   /// {"counters":{...},"gauges":{...},"histograms":{name:{...}}}.
   [[nodiscard]] std::string json() const EXCLUDES(mu_);
 

@@ -13,19 +13,6 @@ StageStat& RunReport::stage(std::string_view name) {
   return s;
 }
 
-const StageStat* RunReport::find_stage(std::string_view name) const {
-  for (const StageStat& s : stages) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
-}
-
-std::uint64_t RunReport::stage_total_ns() const {
-  std::uint64_t total = 0;
-  for (const StageStat& s : stages) total += s.wall_ns;
-  return total;
-}
-
 void RunReport::add_value(std::string name, double value) {
   for (auto& [n, v] : values) {
     if (n == name) {

@@ -58,9 +58,6 @@ struct RunReport {
 
   /// Find-or-create a stage by name.
   StageStat& stage(std::string_view name);
-  [[nodiscard]] const StageStat* find_stage(std::string_view name) const;
-  /// Sum of all stage wall-clocks.
-  [[nodiscard]] std::uint64_t stage_total_ns() const;
 
   void add_value(std::string name, double value);
   [[nodiscard]] double value_or(std::string_view name, double fallback) const;

@@ -84,8 +84,6 @@ std::string TraceRecorder::chrome_trace_json() const {
   return std::move(w).str();
 }
 
-std::uint32_t ObsSpan::nesting_depth() { return t_depth; }
-
 std::uint32_t ObsSpan::thread_id() {
   if (t_tid == 0) t_tid = g_next_tid.fetch_add(1, std::memory_order_relaxed);
   return t_tid;

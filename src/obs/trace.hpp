@@ -72,8 +72,6 @@ class ObsSpan {
   /// Nanoseconds since the span opened; 0 when it is not timing.
   [[nodiscard]] std::uint64_t elapsed_ns() const;
 
-  /// Nesting depth of the calling thread's open spans.
-  [[nodiscard]] static std::uint32_t nesting_depth();
   /// The calling thread's trace id (assigned on first use, starting at 1).
   [[nodiscard]] static std::uint32_t thread_id();
 

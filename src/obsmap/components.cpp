@@ -51,12 +51,4 @@ std::vector<std::vector<Pixel>> connected_components(
   return components;
 }
 
-ObstructionMap largest_component(const ObstructionMap& frame) {
-  ObstructionMap out;
-  const auto components = connected_components(frame);
-  if (components.empty()) return out;
-  for (const Pixel& p : components.front()) out.set(p);
-  return out;
-}
-
 }  // namespace starlab::obsmap

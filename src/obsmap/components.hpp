@@ -18,7 +18,4 @@ namespace starlab::obsmap {
 [[nodiscard]] std::vector<std::vector<Pixel>> connected_components(
     const ObstructionMap& frame);
 
-/// The largest component as its own frame (empty frame when input is empty).
-[[nodiscard]] ObstructionMap largest_component(const ObstructionMap& frame);
-
 }  // namespace starlab::obsmap

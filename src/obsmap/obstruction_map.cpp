@@ -47,14 +47,6 @@ ObstructionMap ObstructionMap::exclusive_or(const ObstructionMap& other) const {
   return out;
 }
 
-void ObstructionMap::merge(const ObstructionMap& other) {
-  STARLAB_EXPECT(bits_.size() == other.bits_.size(),
-                 "obstruction-map frame dimensions differ");
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    bits_[i] = bits_[i] | other.bits_[i];
-  }
-}
-
 bool ObstructionMap::subset_of(const ObstructionMap& other) const {
   for (std::size_t i = 0; i < bits_.size(); ++i) {
     if (bits_[i] && !other.bits_[i]) return false;

@@ -54,9 +54,6 @@ class ObstructionMap {
   /// trajectory survives.
   [[nodiscard]] ObstructionMap exclusive_or(const ObstructionMap& other) const;
 
-  /// Pixel-wise OR (used by the accumulating recorder).
-  void merge(const ObstructionMap& other);
-
   /// True if every set pixel of this map is also set in `other`.
   [[nodiscard]] bool subset_of(const ObstructionMap& other) const;
 

@@ -31,10 +31,4 @@ double shannon_capacity_mbps(const LinkParams& link, geo::Km range,
   return efficiency * bits_per_hz * link.bandwidth_mhz;
 }
 
-double required_eirp_dbw(const LinkParams& link, geo::Km range,
-                         double target_cn_db) {
-  const double achieved = cn_db(link, range);
-  return link.eirp_dbw + (target_cn_db - achieved);
-}
-
 }  // namespace starlab::rf

@@ -45,9 +45,4 @@ struct LinkParams {
                                            geo::Km range,
                                            double efficiency = 0.65);
 
-/// Transmit power [dBW] needed to hold a target C/N at the given range —
-/// the energy cost the scheduler's dark-satellite logic trades against.
-[[nodiscard]] double required_eirp_dbw(const LinkParams& link, geo::Km range,
-                                       double target_cn_db);
-
 }  // namespace starlab::rf

@@ -100,9 +100,6 @@ class GlobalScheduler {
   void set_gateway_network(const ground::GatewayNetwork* network) {
     gateways_ = network;
   }
-  [[nodiscard]] const ground::GatewayNetwork* gateway_network() const {
-    return gateways_;
-  }
 
   [[nodiscard]] const time::SlotGrid& grid() const { return grid_; }
   [[nodiscard]] const SchedulerWeights& weights() const { return weights_; }

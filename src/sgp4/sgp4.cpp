@@ -160,8 +160,6 @@ CommonConstants init_common_constants(const tle::Tle& tle) {
   return c;
 }
 
-double Sgp4::semi_major_axis_km() const { return c_.ao * kRe; }
-
 STARLAB_HOTPATH PropagateStatus propagate_common(const CommonConstants& c,
                                                  double t,
                                                  StateVector& out) noexcept {

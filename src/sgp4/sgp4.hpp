@@ -136,12 +136,6 @@ class Sgp4 {
   /// Element-set epoch.
   [[nodiscard]] const time::JulianDate& epoch() const { return c_.epoch; }
 
-  /// Brouwer mean motion recovered at init [rad/min].
-  [[nodiscard]] double mean_motion_rad_min() const { return c_.no_unkozai; }
-
-  /// Semi-major axis at epoch [km].
-  [[nodiscard]] double semi_major_axis_km() const;
-
   /// The precomputed constant set (e.g. for structure-of-arrays storage).
   [[nodiscard]] const CommonConstants& constants() const { return c_; }
 

@@ -8,6 +8,7 @@
 
 namespace starlab::sun {
 
+// starlint:allow(reachability): reference oracle that tests check is_sunlit by
 bool is_sunlit_cylindrical(const geo::TemeKm& sat, const time::JulianDate& jd) {
   const geo::TemeKm s_hat = sun_direction_teme(jd);
   const double along = sat.dot(s_hat);

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "geo/angles.hpp"
-#include "geo/frames.hpp"
-#include "geo/topocentric.hpp"
 #include "time/utc_time.hpp"
 
 namespace starlab::sun {
@@ -40,11 +38,6 @@ double local_solar_hour(double longitude_deg, double unix_sec) {
   double local = std::fmod(utc_hours + longitude_deg / 15.0, 24.0);
   if (local < 0.0) local += 24.0;
   return local;
-}
-
-double sun_elevation_deg(const geo::Geodetic& site, const time::JulianDate& jd) {
-  const geo::EcefKm sun_ecef = geo::teme_to_ecef(sun_position_teme(jd), jd);
-  return geo::look_angles(site, sun_ecef).elevation_deg;
 }
 
 }  // namespace starlab::sun

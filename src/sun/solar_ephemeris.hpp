@@ -27,9 +27,4 @@ inline constexpr double kSunRadiusKm = 696000.0;
 /// longitude/15. This is the "local time" feature (t_l) of the paper's model.
 [[nodiscard]] double local_solar_hour(double longitude_deg, double unix_sec);
 
-/// Sun elevation above the horizon [deg] for a ground site; negative at
-/// night. Used by the campaign driver to label day/night slots.
-[[nodiscard]] double sun_elevation_deg(const geo::Geodetic& site,
-                                       const time::JulianDate& jd);
-
 }  // namespace starlab::sun

@@ -12,13 +12,6 @@ double SlotGrid::slot_start(SlotIndex slot) const {
   return offset_ + static_cast<double>(slot) * period_;
 }
 
-double SlotGrid::seconds_to_next_boundary(double unix_sec) const {
-  const double start = slot_start(slot_of(unix_sec));
-  double r = period_ - (unix_sec - start);
-  if (r <= 0.0) r += period_;
-  return r;
-}
-
 bool SlotGrid::near_boundary(double unix_sec, double tol_sec) const {
   const double start = slot_start(slot_of(unix_sec));
   const double into = unix_sec - start;

@@ -23,7 +23,6 @@ class SlotGrid {
       : period_(period_sec), offset_(offset_sec) {}
 
   [[nodiscard]] double period_seconds() const { return period_; }
-  [[nodiscard]] double offset_seconds() const { return offset_; }
 
   /// Slot containing the given Unix time.
   [[nodiscard]] SlotIndex slot_of(double unix_sec) const;
@@ -42,8 +41,6 @@ class SlotGrid {
     return slot_start(slot) + 0.5 * period_;
   }
 
-  /// Seconds from the given time until the next slot boundary (0 < r <= period).
-  [[nodiscard]] double seconds_to_next_boundary(double unix_sec) const;
 
   /// True if the given time is within `tol_sec` of a slot boundary; used by
   /// the measurement-side change-point analysis.

@@ -87,15 +87,6 @@ double UtcTime::fractional_day_of_year() const {
          (hour * 3600.0 + minute * 60.0 + second) / kSecondsPerDay;
 }
 
-std::string UtcTime::to_iso8601() const {
-  char buf[40];
-  const int whole_sec = static_cast<int>(std::floor(second));
-  const int millis = static_cast<int>(std::lround((second - whole_sec) * 1000.0));
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", year,
-                month, day, hour, minute, whole_sec, millis);
-  return buf;
-}
-
 std::string UtcTime::to_hms() const {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%02d:%02d:%02d", hour, minute,

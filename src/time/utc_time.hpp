@@ -46,8 +46,6 @@ struct UtcTime {
   /// convention, day 1.0 == Jan 1 00:00).
   [[nodiscard]] static UtcTime from_year_and_days(int year, double fractional_days);
 
-  /// ISO-8601 "YYYY-MM-DDThh:mm:ss.mmmZ".
-  [[nodiscard]] std::string to_iso8601() const;
 
   /// "hh:mm:ss" wall-clock string (used by the RTT figure axes).
   [[nodiscard]] std::string to_hms() const;

@@ -93,11 +93,6 @@ std::vector<Tle> read_catalog_string(const std::string& text) {
   return read_catalog(in);
 }
 
-std::vector<Tle> load_catalog_file(const std::string& path) {
-  std::ifstream in = io::open_input_file(path, "TLE catalog");
-  return read_catalog(in);
-}
-
 std::vector<Tle> read_catalog_lenient(std::istream& in,
                                       io::ParseReport& report) {
   return read_catalog_impl(in, &report);
@@ -106,12 +101,6 @@ std::vector<Tle> read_catalog_lenient(std::istream& in,
 std::vector<Tle> read_catalog_string_lenient(const std::string& text,
                                              io::ParseReport& report) {
   std::istringstream in(text);
-  return read_catalog_lenient(in, report);
-}
-
-std::vector<Tle> load_catalog_file_lenient(const std::string& path,
-                                           io::ParseReport& report) {
-  std::ifstream in = io::open_input_file(path, "TLE catalog");
   return read_catalog_lenient(in, report);
 }
 

@@ -20,19 +20,13 @@ namespace starlab::tle {
 /// Parse a catalog from a string (convenience for tests and the synthesizer).
 [[nodiscard]] std::vector<Tle> read_catalog_string(const std::string& text);
 
-/// Load a catalog from a file. Throws std::runtime_error if unreadable.
-[[nodiscard]] std::vector<Tle> load_catalog_file(const std::string& path);
-
 /// Lenient variants: a malformed record is skipped (with its line number and
 /// reason appended to `report`) instead of aborting the whole catalog, and
-/// parsing resynchronizes at the next record boundary. Only unreadable
-/// files still throw.
+/// parsing resynchronizes at the next record boundary.
 [[nodiscard]] std::vector<Tle> read_catalog_lenient(std::istream& in,
                                                     io::ParseReport& report);
 [[nodiscard]] std::vector<Tle> read_catalog_string_lenient(
     const std::string& text, io::ParseReport& report);
-[[nodiscard]] std::vector<Tle> load_catalog_file_lenient(
-    const std::string& path, io::ParseReport& report);
 
 /// Write a catalog in 3-line format (names included when present).
 void write_catalog(std::ostream& out, const std::vector<Tle>& catalog);

@@ -47,11 +47,6 @@ struct Tle {
   /// Epoch as a Julian date (UTC).
   [[nodiscard]] starlab::time::JulianDate epoch_jd() const;
 
-  /// Orbital period implied by the (Kozai) mean motion [minutes].
-  [[nodiscard]] double period_minutes() const {
-    return 1440.0 / mean_motion_rev_per_day;
-  }
-
   /// Parse from the two element lines; `name` may come from a preceding
   /// title line. Verifies line numbers, catalog-number consistency and both
   /// checksums. Throws TleParseError on any violation.

@@ -34,10 +34,6 @@ void WorldMap::plot(geo::Deg latitude, geo::Deg longitude, char symbol) {
   grid_[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)] = symbol;
 }
 
-void WorldMap::plot_all(const std::vector<MapMark>& marks) {
-  for (const MapMark& m : marks) plot(m.latitude, m.longitude, m.symbol);
-}
-
 std::string WorldMap::render() const {
   std::string out = "+" + std::string(static_cast<std::size_t>(width_), '-') + "+\n";
   for (const std::string& row : grid_) {

@@ -11,12 +11,6 @@
 
 namespace starlab::viz {
 
-struct MapMark {
-  geo::Deg latitude;
-  geo::Deg longitude;
-  char symbol = '*';
-};
-
 class WorldMap {
  public:
   /// `width` columns cover longitude [-180, 180); `height` rows cover
@@ -24,7 +18,6 @@ class WorldMap {
   explicit WorldMap(int width = 90, int height = 30);
 
   void plot(geo::Deg latitude, geo::Deg longitude, char symbol);
-  void plot_all(const std::vector<MapMark>& marks);
 
   /// Render with a simple frame and equator/meridian rules.
   [[nodiscard]] std::string render() const;

@@ -1,9 +1,12 @@
 #include "geo/angles.hpp"
 
 #include <gtest/gtest.h>
+#include "test_helpers.hpp"
 
 namespace starlab::geo {
 namespace {
+
+using starlab::testing::angular_difference_deg;
 
 TEST(Angles, DegRadRoundTrip) {
   for (double d = -720.0; d <= 720.0; d += 36.5) {

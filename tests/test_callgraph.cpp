@@ -1,7 +1,7 @@
 // Tests for starlint's call-graph layer: the function/mutex indexer
 // (extents, qualified names, lambdas, markers), the hot-path purity rules
 // over the fixtures in tests/lint_fixtures/, suppression and allowlist
-// edge cases, and the lock-order cycle detector.
+// edge cases, the lock-order cycle detector, and the reachability rule.
 
 #include <gtest/gtest.h>
 
@@ -333,6 +333,119 @@ TEST(LockOrderTest, SameNameMutexesOfUnrelatedClassesStayDistinct) {
   for (const Finding& f : findings) {
     EXPECT_NE(f.rule, "lock-order") << f.message;
   }
+}
+
+// --- reachability -----------------------------------------------------------
+
+/// Qualified names of the src/ functions the reachability rule flags.
+std::vector<std::string> unreached(const std::vector<SourceFile>& files) {
+  const CallGraph graph(files, test_hotpath_config());
+  std::vector<std::string> names;
+  for (const Finding& f : graph.reachability_findings()) {
+    EXPECT_EQ(f.rule, "reachability");
+    const std::size_t open = f.message.find('\'');
+    names.push_back(f.message.substr(
+        open + 1, f.message.find('\'', open + 1) - open - 1));
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(ReachabilityTest, CalledOnlyFromTestsIsFlagged) {
+  std::vector<SourceFile> files;
+  files.push_back(SourceFile("src/geo/x.cpp",
+                             "namespace g {\n"
+                             "double helper() { return 1.0; }\n"
+                             "}\n"));
+  files.push_back(SourceFile("tests/x.cpp",
+                             "void test_body() { (void)g::helper(); }\n"));
+  EXPECT_EQ(unreached(files), std::vector<std::string>{"g::helper"});
+}
+
+TEST(ReachabilityTest, BenchRootKeepsCalleeAndTransitiveCallee) {
+  // Calls from a constructor's init list and from a lambda in a reached
+  // body count too.
+  std::vector<SourceFile> files;
+  files.push_back(SourceFile("src/geo/x.hpp",
+                             "namespace g {\n"
+                             "double leaf() { return 2.0; }\n"
+                             "double init_value() { return 3.0; }\n"
+                             "struct Box {\n"
+                             "  Box() : v_(init_value()) {}\n"
+                             "  double v_;\n"
+                             "};\n"
+                             "double middle() {\n"
+                             "  const auto f = [] { return leaf(); };\n"
+                             "  return f() + 1.0;\n"
+                             "}\n"
+                             "}\n"));
+  files.push_back(SourceFile("bench/x.cpp",
+                             "int main() { return g::middle() > 0.0; }\n"));
+  EXPECT_TRUE(unreached(files).empty());
+}
+
+TEST(ReachabilityTest, PerfbenchDriverIsARoot) {
+  std::vector<SourceFile> files;
+  files.push_back(SourceFile("src/core/x.cpp",
+                             "namespace c {\n"
+                             "void replay() {}\n"
+                             "void orphan() {}\n"
+                             "}\n"));
+  files.push_back(SourceFile("perfbench/driver.cpp",
+                             "int main() { c::replay(); }\n"));
+  EXPECT_EQ(unreached(files), std::vector<std::string>{"c::orphan"});
+}
+
+TEST(ReachabilityTest, FunctionPassedByNameIsUsed) {
+  std::vector<SourceFile> files;
+  files.push_back(SourceFile("src/check/x.cpp",
+                             "namespace k {\n"
+                             "void init_mode_from_env() {}\n"
+                             "void on_event(int) {}\n"
+                             "void mode() {\n"
+                             "  std::call_once(g_once, init_mode_from_env);\n"
+                             "  subscribe(&on_event);\n"
+                             "}\n"
+                             "}\n"));
+  files.push_back(SourceFile("tools/x.cpp", "int main() { k::mode(); }\n"));
+  EXPECT_TRUE(unreached(files).empty());
+}
+
+TEST(ReachabilityTest, NamespaceScopeInitializerIsARoot) {
+  std::vector<SourceFile> files;
+  files.push_back(SourceFile("src/sgp4/x.cpp",
+                             "namespace s {\n"
+                             "double compute_table() { return 4.0; }\n"
+                             "const double kTable = compute_table();\n"
+                             "}\n"));
+  EXPECT_TRUE(unreached(files).empty());
+}
+
+TEST(ReachabilityTest, AllowCommentSuppressesAndKeepsCallees) {
+  std::vector<SourceFile> files;
+  files.push_back(SourceFile(
+      "src/sun/x.cpp",
+      "namespace s {\n"
+      "double direction() { return 1.0; }\n"
+      "// starlint:allow(reachability): reference oracle for tests\n"
+      "bool oracle() { return direction() > 0.0; }\n"
+      "}\n"));
+  EXPECT_TRUE(unreached(files).empty());
+}
+
+TEST(ReachabilityTest, DeadAnonHelperOfDeadFunctionIsFlagged) {
+  std::vector<SourceFile> files;
+  files.push_back(SourceFile("src/obs/x.cpp",
+                             "namespace o {\n"
+                             "namespace {\n"
+                             "int escape(int c) { return c + 1; }\n"
+                             "}\n"
+                             "int exposition() { return escape(1); }\n"
+                             "int live() { return 0; }\n"
+                             "}\n"));
+  files.push_back(SourceFile("examples/x.cpp", "int main() { o::live(); }\n"));
+  EXPECT_EQ(unreached(files),
+            (std::vector<std::string>{"o::(anon)::escape", "o::exposition"}));
 }
 
 // --- CallGraph object surface -----------------------------------------------

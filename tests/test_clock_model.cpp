@@ -39,11 +39,13 @@ TEST(ClockModel, SawtoothResetsAtSync) {
 TEST(ClockModel, RttErrorIsMicroscopic) {
   // The paper's RTT methodology survives clock error because both
   // timestamps come from the same clock: for a 40 ms RTT the error is the
-  // drift over 40 ms (~a microsecond), not the absolute offset (~10 ms).
+  // drift over 40 ms (~a microsecond), not the absolute offset (~10 ms)
+  // that a one-way delay against a perfect remote clock would carry.
   const ClockModel clock;
   for (double t = 50.0; t < 4000.0; t += 333.0) {
-    const double rtt_err = std::fabs(clock.rtt_error_ms(t, 40.0));
-    const double owd_err = std::fabs(clock.one_way_error_ms(t));
+    const double rtt_err =
+        std::fabs(clock.offset_ms(t + 40.0 / 1000.0) - clock.offset_ms(t));
+    const double owd_err = std::fabs(clock.offset_ms(t));
     EXPECT_LT(rtt_err, 0.01) << "t=" << t;
     if (owd_err > 1.0) {
       EXPECT_LT(rtt_err, owd_err / 50.0) << "t=" << t;

@@ -11,7 +11,6 @@ namespace {
 
 TEST(Components, EmptyFrame) {
   EXPECT_TRUE(connected_components(ObstructionMap{}).empty());
-  EXPECT_EQ(largest_component(ObstructionMap{}).popcount(), 0u);
 }
 
 TEST(Components, SingleBlob) {
@@ -43,10 +42,14 @@ TEST(Components, SeparateBlobsSortedBySize) {
 }
 
 TEST(Components, LargestComponentExtracted) {
+  // The identifier matches only the largest component: the first one.
   ObstructionMap m;
   for (int i = 0; i < 12; ++i) m.set(20 + i, 20);
   for (int i = 0; i < 4; ++i) m.set(80 + i, 80);
-  const ObstructionMap biggest = largest_component(m);
+  const auto comps = connected_components(m);
+  ASSERT_FALSE(comps.empty());
+  ObstructionMap biggest;
+  for (const Pixel& p : comps.front()) biggest.set(p);
   EXPECT_EQ(biggest.popcount(), 12u);
   EXPECT_TRUE(biggest.get(25, 20));
   EXPECT_FALSE(biggest.get(81, 80));

@@ -12,9 +12,13 @@
 #include "geo/topocentric.hpp"
 #include "ground/obstruction_mask.hpp"
 #include "obsmap/map_geometry.hpp"
+#include "test_helpers.hpp"
 
 namespace starlab::check {
 namespace {
+
+using starlab::testing::direction_from_look;
+
 
 /// Every test runs in kThrow unless it says otherwise, and the process-wide
 /// mode is restored afterwards so test order cannot leak a mode.
@@ -107,7 +111,7 @@ TEST_F(ContractsTest, LookAnglesPostconditionsHoldOnRealGeometry) {
     for (double el : {-45.0, 0.0, 30.0, 89.0}) {
       const geo::EcefKm target =
           geo::geodetic_to_ecef(obs) +
-          geo::direction_from_look(obs, geo::Deg(az), geo::Deg(el)) * 550.0;
+          direction_from_look(obs, geo::Deg(az), geo::Deg(el)) * 550.0;
       EXPECT_NO_THROW((void)geo::look_angles(obs, target));
     }
   }

@@ -64,41 +64,8 @@ TEST(Csv, ReadCsvSkipsBlankLines) {
   EXPECT_EQ(rows[1][0], "c");
 }
 
-TEST(Csv, CheckedReadAcceptsUniformWidth) {
-  std::istringstream in("a,b,c\n1,2,3\n");
-  const auto rows = read_csv_checked(in, 3);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1][2], "3");
-}
-
-TEST(Csv, CheckedReadNamesRowAndWidthsOnMismatch) {
-  std::istringstream in("a,b,c\n1,2\n");
-  try {
-    (void)read_csv_checked(in, 3);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("row 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("expected 3"), std::string::npos) << what;
-    EXPECT_NE(what.find("got 2"), std::string::npos) << what;
-  }
-}
-
 TEST(Csv, WidthErrorMessageIsStable) {
   EXPECT_EQ(csv_width_error(7, 11, 9), "row 7: expected 11 columns, got 9");
-}
-
-TEST(Csv, LenientReadSkipsMismatchedRowsAndReports) {
-  std::istringstream in("a,b,c\n1,2\n3,4,5\nx,y,z,w\n6,7,8\n");
-  ParseReport report;
-  const auto rows = read_csv_lenient(in, 3, report);
-  ASSERT_EQ(rows.size(), 3u);  // header + two good rows
-  EXPECT_EQ(rows[1][0], "3");
-  EXPECT_EQ(rows[2][0], "6");
-  EXPECT_EQ(report.records_ok, 3u);
-  ASSERT_EQ(report.issues.size(), 2u);
-  EXPECT_EQ(report.issues[0].line, 2u);
-  EXPECT_EQ(report.issues[1].line, 4u);
 }
 
 }  // namespace

@@ -65,13 +65,5 @@ TEST(Ecdf, SeriesCoversRange) {
   EXPECT_DOUBLE_EQ(series.back().second, 1.0);
 }
 
-TEST(Ecdf, SortedSamplesExposed) {
-  const std::vector<double> v{3.0, 1.0, 2.0};
-  const Ecdf e(v);
-  EXPECT_EQ(e.size(), 3u);
-  EXPECT_DOUBLE_EQ(e.sorted_samples()[0], 1.0);
-  EXPECT_DOUBLE_EQ(e.sorted_samples()[2], 3.0);
-}
-
 }  // namespace
 }  // namespace starlab::analysis

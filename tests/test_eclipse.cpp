@@ -5,13 +5,17 @@
 #include "geo/wgs.hpp"
 #include "sun/solar_ephemeris.hpp"
 #include "time/julian_date.hpp"
+#include "test_helpers.hpp"
 
 namespace starlab::sun {
 namespace {
 
+using starlab::testing::cross;
+
 using starlab::time::JulianDate;
 
 const JulianDate kJd = JulianDate::from_calendar(2023, 6, 1, 0, 0, 0.0);
+const geo::TemeKm kPole(geo::Vec3{0.0, 0.0, 1.0});
 
 geo::TemeKm leo_point_toward_sun(double altitude_km) {
   return sun_direction_teme(kJd) * (geo::kWgs84.radius_km + altitude_km);
@@ -36,7 +40,7 @@ TEST(Eclipse, AntiSunButFarOutEscapesShadowCylinder) {
   // At GSO distance behind the Earth but displaced sideways by 2 Earth
   // radii the satellite clears the shadow.
   const geo::TemeKm s_hat = sun_direction_teme(kJd);
-  const geo::TemeKm side = s_hat.cross({0.0, 0.0, 1.0}).normalized();
+  const geo::TemeKm side = cross(s_hat, kPole).normalized();
   const geo::TemeKm sat =
       -s_hat * 42164.0 + side * (2.0 * geo::kWgs84.radius_km);
   EXPECT_TRUE(is_sunlit_cylindrical(sat, kJd));
@@ -47,7 +51,7 @@ TEST(Eclipse, TerminatorSatelliteIsSunlit) {
   // Perpendicular to the sun direction (over the terminator) a LEO
   // satellite still sees the sun.
   const geo::TemeKm s_hat = sun_direction_teme(kJd);
-  const geo::TemeKm side = s_hat.cross({0.0, 0.0, 1.0}).normalized();
+  const geo::TemeKm side = cross(s_hat, kPole).normalized();
   const geo::TemeKm sat = side * (geo::kWgs84.radius_km + 550.0);
   EXPECT_TRUE(is_sunlit_cylindrical(sat, kJd));
   EXPECT_NE(classify_illumination(sat, kJd), Illumination::kUmbra);
@@ -57,7 +61,7 @@ TEST(Eclipse, PenumbraExistsAtShadowEdge) {
   // Scan across the shadow edge at LEO distance behind the Earth; some
   // offset must classify as penumbra (the cone edge is soft).
   const geo::TemeKm s_hat = sun_direction_teme(kJd);
-  const geo::TemeKm side = s_hat.cross({0.0, 0.0, 1.0}).normalized();
+  const geo::TemeKm side = cross(s_hat, kPole).normalized();
   bool saw_penumbra = false;
   for (double off = 0.9; off <= 1.1; off += 0.001) {
     const geo::TemeKm sat = -s_hat * (geo::kWgs84.radius_km + 550.0) +
@@ -72,7 +76,7 @@ TEST(Eclipse, PenumbraExistsAtShadowEdge) {
 
 TEST(Eclipse, ConicalAndCylindricalAgreeAwayFromEdge) {
   const geo::TemeKm s_hat = sun_direction_teme(kJd);
-  const geo::TemeKm side = s_hat.cross({0.0, 0.0, 1.0}).normalized();
+  const geo::TemeKm side = cross(s_hat, kPole).normalized();
   // Deep shadow and clear sunlight cases.
   const geo::TemeKm dark = -s_hat * (geo::kWgs84.radius_km + 550.0);
   const geo::TemeKm lit = -s_hat * (geo::kWgs84.radius_km + 550.0) +

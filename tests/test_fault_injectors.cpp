@@ -3,13 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "measurement/loss_model.hpp"
-#include "tle/catalog_io.hpp"
 
 namespace starlab::fault {
 namespace {
@@ -43,9 +41,6 @@ TEST(FaultPlan, FormatParseRoundTrip) {
   plan.clock.step_ms = 25.0;
   plan.clock.step_interval_sec = 1800.0;
   plan.clock.drift_ppm = 40.0;
-  plan.tle.corrupt_rate = 0.3;
-  plan.tle.truncate_rate = 0.1;
-  plan.tle.stale_days = 14.0;
   plan.dropout.rate = 0.07;
 
   const FaultPlan back = parse_fault_plan(format_fault_plan(plan));
@@ -60,9 +55,6 @@ TEST(FaultPlan, FormatParseRoundTrip) {
   EXPECT_EQ(back.clock.step_ms, plan.clock.step_ms);
   EXPECT_EQ(back.clock.step_interval_sec, plan.clock.step_interval_sec);
   EXPECT_EQ(back.clock.drift_ppm, plan.clock.drift_ppm);
-  EXPECT_EQ(back.tle.corrupt_rate, plan.tle.corrupt_rate);
-  EXPECT_EQ(back.tle.truncate_rate, plan.tle.truncate_rate);
-  EXPECT_EQ(back.tle.stale_days, plan.tle.stale_days);
   EXPECT_EQ(back.dropout.rate, plan.dropout.rate);
 }
 
@@ -348,107 +340,6 @@ TEST(ClockFaults, ApplyRetimestampsSeries) {
     EXPECT_NEAR(series.samples[i].unix_sec,
                 static_cast<double>(i) * 0.02 + offset, 1e-9);
   }
-}
-
-// ---------------------------------------------------------------------------
-// TLE catalog faults
-// ---------------------------------------------------------------------------
-
-const std::string kVanguard =
-    "VANGUARD 1\n"
-    "1 00005U 58002B   00179.78495062  .00000023  00000-0  28098-4 0  4753\n"
-    "2 00005  34.2682 348.7242 1859667 331.7664  19.3264 10.82419157413667\n";
-
-std::string many_record_catalog(int n) {
-  const tle::Tle base = tle::read_catalog_string(kVanguard)[0];
-  std::vector<tle::Tle> cat;
-  for (int i = 0; i < n; ++i) {
-    tle::Tle t = base;
-    t.norad_id = 1000 + i;
-    t.name = "SAT-" + std::to_string(i);
-    cat.push_back(t);
-  }
-  std::ostringstream out;
-  tle::write_catalog(out, cat);
-  return out.str();
-}
-
-TEST(TleFaults, IntensityZeroReturnsTextVerbatim) {
-  FaultPlan plan;
-  plan.tle.corrupt_rate = 1.0;
-  plan.tle.truncate_rate = 1.0;
-  plan.tle.stale_days = 100.0;
-  const TleFaultInjector inj(plan.with_intensity(0.0));
-  const std::string text = many_record_catalog(5);
-  EXPECT_EQ(inj.corrupt_catalog(text), text);
-}
-
-TEST(TleFaults, CorruptionBreaksStrictParseButLenientSkipsWithProvenance) {
-  FaultPlan plan;
-  plan.tle.corrupt_rate = 0.5;
-  const TleFaultInjector inj(plan);
-  const std::string damaged = inj.corrupt_catalog(many_record_catalog(40));
-
-  // Strict loading must reject the first damaged record...
-  EXPECT_THROW((void)tle::read_catalog_string(damaged), tle::TleParseError);
-
-  // ...while lenient loading skips exactly the damaged ones and reports
-  // where and why.
-  io::ParseReport report;
-  const std::vector<tle::Tle> cat =
-      tle::read_catalog_string_lenient(damaged, report);
-  EXPECT_FALSE(report.clean());
-  EXPECT_EQ(cat.size(), report.records_ok);
-  EXPECT_EQ(report.records_skipped, report.issues.size());
-  EXPECT_EQ(cat.size() + report.records_skipped, 40u);
-  // About half damaged at rate 0.5; demand a loose band only.
-  EXPECT_GT(report.records_skipped, 8u);
-  EXPECT_LT(report.records_skipped, 32u);
-  for (const io::ParseIssue& issue : report.issues) {
-    EXPECT_GT(issue.line, 0u);
-    EXPECT_FALSE(issue.reason.empty());
-  }
-}
-
-TEST(TleFaults, TruncationDropsLine2AndLenientRecovers) {
-  FaultPlan plan;
-  plan.tle.truncate_rate = 1.0;
-  const TleFaultInjector inj(plan);
-  const std::string damaged = inj.corrupt_catalog(many_record_catalog(3));
-  EXPECT_THROW((void)tle::read_catalog_string(damaged), tle::TleParseError);
-
-  io::ParseReport report;
-  const std::vector<tle::Tle> cat =
-      tle::read_catalog_string_lenient(damaged, report);
-  EXPECT_TRUE(cat.empty());
-  EXPECT_EQ(report.records_skipped, 3u);
-}
-
-TEST(TleFaults, StaleRecordsStillParseWithAgedEpoch) {
-  FaultPlan plan;
-  plan.tle.stale_days = 400.0;
-  const TleFaultInjector inj(plan);
-  const std::string aged_text = inj.corrupt_catalog(kVanguard);
-  const std::vector<tle::Tle> cat = tle::read_catalog_string(aged_text);
-  ASSERT_EQ(cat.size(), 1u);
-
-  const tle::Tle fresh = tle::read_catalog_string(kVanguard)[0];
-  const tle::Tle aged = cat[0];
-  // 400 days earlier: epoch year borrows back across the year boundary.
-  EXPECT_LT(aged.epoch_year, fresh.epoch_year);
-  const double fresh_abs = fresh.epoch_year * 365.25 + fresh.epoch_day;
-  const double aged_abs = aged.epoch_year * 365.25 + aged.epoch_day;
-  EXPECT_NEAR(fresh_abs - aged_abs, 400.0, 2.0);
-}
-
-TEST(TleFaults, NonRecordLinesPassThroughUnchanged) {
-  FaultPlan plan;
-  plan.tle.corrupt_rate = 1.0;
-  const TleFaultInjector inj(plan);
-  const std::string text = "# header comment\n" + kVanguard;
-  const std::string damaged = inj.corrupt_catalog(text);
-  EXPECT_EQ(damaged.substr(0, 17), "# header comment\n");
-  EXPECT_NE(damaged, text);  // the record itself was damaged
 }
 
 }  // namespace

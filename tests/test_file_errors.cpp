@@ -1,5 +1,5 @@
 // Classified file-error reporting for every load_*_file / save_*_file
-// helper (satellite: harden the file conveniences). The contract: a failed
+// helper. The contract: a failed
 // open throws io::FileError whose kind() distinguishes missing vs
 // unreadable vs empty, and whose message names the artifact, the path and
 // the errno text — enough to diagnose a dead campaign from the log alone.
@@ -7,15 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <random>
 #include <string>
 
 #include "io/campaign_io.hpp"
 #include "io/file_util.hpp"
-#include "io/model_io.hpp"
 #include "io/rtt_io.hpp"
-#include "ml/random_forest.hpp"
-#include "tle/catalog_io.hpp"
 
 namespace starlab::io {
 namespace {
@@ -75,24 +71,15 @@ TEST(FileErrors, EveryLoaderFamilyClassifiesConsistently) {
   const std::string missing = temp_path("nope");
   const std::string empty = temp_path("zero_bytes");
   touch_empty(empty);
-  ParseReport report;
 
-  EXPECT_EQ(error_kind([&] { (void)tle::load_catalog_file(missing); }),
-            FileError::Kind::kMissing);
-  EXPECT_EQ(
-      error_kind([&] { (void)tle::load_catalog_file_lenient(missing, report); }),
-      FileError::Kind::kMissing);
-  EXPECT_EQ(error_kind([&] { (void)tle::load_catalog_file(empty); }),
-            FileError::Kind::kEmpty);
   EXPECT_EQ(error_kind([&] { (void)load_rtt_series_file(missing); }),
             FileError::Kind::kMissing);
   EXPECT_EQ(error_kind([&] { (void)load_rtt_series_file(empty); }),
             FileError::Kind::kEmpty);
-  EXPECT_EQ(error_kind([&] { (void)load_forest_file(missing); }),
+  EXPECT_EQ(error_kind([&] { (void)load_campaign_file(missing); }),
             FileError::Kind::kMissing);
-  EXPECT_EQ(
-      error_kind([&] { (void)load_campaign_file_lenient(missing, report); }),
-      FileError::Kind::kMissing);
+  EXPECT_EQ(error_kind([&] { (void)load_campaign_file(empty); }),
+            FileError::Kind::kEmpty);
   std::remove(empty.c_str());
 }
 
@@ -104,29 +91,6 @@ TEST(FileErrors, UnwritableSavePathThrowsWriteError) {
   EXPECT_EQ(error_kind([&] { save_campaign_file(path, data); }, &msg),
             FileError::Kind::kWrite);
   EXPECT_NE(msg.find(path), std::string::npos) << msg;
-}
-
-TEST(FileErrors, ForestFileRoundTripsThroughTheNewHelpers) {
-  ml::Dataset d(2, {"x", "y"}, {"a", "b"});
-  std::mt19937 rng(7);
-  std::normal_distribution<double> noise(0.0, 0.5);
-  for (int i = 0; i < 40; ++i) {
-    d.add_row(std::vector<double>{noise(rng), noise(rng)}, 0);
-    d.add_row(std::vector<double>{3.0 + noise(rng), noise(rng)}, 1);
-  }
-  ml::ForestConfig config;
-  config.num_trees = 3;
-  ml::RandomForest forest(config);
-  forest.fit(d);
-
-  const std::string path = temp_path("forest.model");
-  save_forest_file(path, forest);
-  const ml::RandomForest loaded = load_forest_file(path);
-  for (int i = 0; i < 20; ++i) {
-    const std::vector<double> x{noise(rng) + 1.5, noise(rng)};
-    EXPECT_EQ(forest.predict(x), loaded.predict(x));
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

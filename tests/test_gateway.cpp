@@ -22,7 +22,6 @@ TEST(Gateway, SatelliteOverGatewayIsConnected) {
   const GatewayNetwork net = GatewayNetwork::paper_region_network();
   const geo::EcefKm sat = above(net.gateways().front().site, 550.0);
   EXPECT_TRUE(net.has_gateway(sat));
-  EXPECT_GE(net.visible_gateways(sat), 1);
 }
 
 TEST(Gateway, SatelliteOverPacificIsNot) {
@@ -30,7 +29,6 @@ TEST(Gateway, SatelliteOverPacificIsNot) {
   // Mid-Pacific, no CONUS/EU gateway within ~1000 km.
   const geo::EcefKm sat = above({0.0, -160.0, 0.0}, 550.0);
   EXPECT_FALSE(net.has_gateway(sat));
-  EXPECT_EQ(net.visible_gateways(sat), 0);
 }
 
 TEST(Gateway, DenseNetworkCoversPaperTerminals) {
@@ -118,7 +116,6 @@ TEST(Gateway, ConstraintChangesSomeDecisions) {
 TEST(Gateway, NullNetworkIsNoConstraint) {
   scheduler::GlobalScheduler sched(small_scenario().catalog());
   sched.set_gateway_network(nullptr);
-  EXPECT_EQ(sched.gateway_network(), nullptr);
   const auto a = sched.allocate(small_scenario().terminal(0),
                                 small_scenario().first_slot());
   const auto b = small_scenario().global_scheduler().allocate(

@@ -7,9 +7,12 @@
 #include <random>
 
 #include "geo/angles.hpp"
+#include "test_helpers.hpp"
 
 namespace starlab::geo {
 namespace {
+
+using starlab::testing::angular_difference_deg;
 
 const Geodetic kIowa{41.661, -91.530, 0.22};
 

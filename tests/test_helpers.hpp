@@ -2,11 +2,27 @@
 
 // Shared fixtures for the starlab test suite. Scenario construction is the
 // expensive part of most tests (SGP4 init for every satellite), so a small
-// scenario is built once per test binary and shared read-only.
+// scenario is built once per test binary and shared read-only. The helpers
+// after the scenarios build test inputs or summarize outputs; no shipped
+// binary needs them.
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <vector>
 
+#include "constellation/walker.hpp"
 #include "core/scenario.hpp"
+#include "geo/angles.hpp"
+#include "geo/frame_vec.hpp"
+#include "geo/frames.hpp"
+#include "geo/geodetic.hpp"
+#include "geo/topocentric.hpp"
+#include "geo/units.hpp"
+#include "geo/vec3.hpp"
+#include "ground/sites.hpp"
+#include "measurement/owd_prober.hpp"
+#include "sun/solar_ephemeris.hpp"
 
 namespace starlab::testing {
 
@@ -27,6 +43,77 @@ inline const core::Scenario& tiny_scenario() {
     return std::make_unique<core::Scenario>(std::move(cfg));
   }();
   return *scenario;
+}
+
+/// Smallest absolute difference between two angles in degrees, in [0, 180].
+inline double angular_difference_deg(double a, double b) {
+  return std::fabs(geo::wrap_180(a - b));
+}
+
+inline geo::Vec3 cross(const geo::Vec3& a, const geo::Vec3& b) {
+  return {a.y * b.z - a.z * b.y, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x};
+}
+
+template <class Frame>
+geo::FrameVec3<Frame> cross(const geo::FrameVec3<Frame>& a,
+                            const geo::FrameVec3<Frame>& b) {
+  return geo::FrameVec3<Frame>(cross(a.raw(), b.raw()));
+}
+
+/// The ECEF unit direction of (azimuth, elevation) in the observer's sky:
+/// the inverse of geo::look_angles' direction part.
+inline geo::EcefKm direction_from_look(const geo::Geodetic& observer,
+                                       geo::Deg azimuth, geo::Deg elevation) {
+  const double az = geo::to_rad(azimuth).value();
+  const double el = geo::to_rad(elevation).value();
+  // South-east-zenith components of a unit vector at (az, el).
+  const double s = -std::cos(el) * std::cos(az);
+  const double e = std::cos(el) * std::sin(az);
+  const double z = std::sin(el);
+  const double lat = geo::deg_to_rad(observer.latitude_deg);
+  const double lon = geo::deg_to_rad(observer.longitude_deg);
+  const double sin_lat = std::sin(lat), cos_lat = std::cos(lat);
+  const double sin_lon = std::sin(lon), cos_lon = std::cos(lon);
+  return geo::EcefKm(geo::Vec3{
+      sin_lat * cos_lon * s - sin_lon * e + cos_lat * cos_lon * z,
+      sin_lat * sin_lon * s + cos_lon * e + cos_lat * sin_lon * z,
+      -cos_lat * s + sin_lat * z});
+}
+
+/// Every Walker shell of the Gen2 catalog: Gen1's four plus the Gen2 shell.
+inline std::vector<constellation::WalkerShell> starlink_gen2_shells() {
+  std::vector<constellation::WalkerShell> shells =
+      constellation::starlink_gen1_shells();
+  shells.push_back(constellation::starlink_gen2_shell());
+  return shells;
+}
+
+/// Sun elevation above a ground site's horizon [deg]; negative at night.
+inline double sun_elevation_deg(const geo::Geodetic& site,
+                                const time::JulianDate& jd) {
+  const geo::EcefKm sun_ecef =
+      geo::teme_to_ecef(sun::sun_position_teme(jd), jd);
+  return geo::look_angles(site, sun_ecef).elevation_deg;
+}
+
+/// Largest |measured - true| over an OWD series: the clock's contribution.
+inline double max_clock_error_ms(const measurement::OwdSeries& series) {
+  double worst = 0.0;
+  for (const measurement::OwdSample& s : series.samples) {
+    worst = std::max(worst, std::fabs(s.measured_owd_ms - s.true_owd_ms));
+  }
+  return worst;
+}
+
+/// The paper's four vantage-point terminals, in paper order.
+inline std::vector<ground::Terminal> paper_terminals() {
+  std::vector<ground::Terminal> out;
+  for (const ground::Site s : {ground::Site::kIowa, ground::Site::kNewYork,
+                               ground::Site::kMadrid,
+                               ground::Site::kWashington}) {
+    out.emplace_back(ground::paper_terminal_config(s));
+  }
+  return out;
 }
 
 }  // namespace starlab::testing

@@ -5,9 +5,12 @@
 #include <cmath>
 
 #include "geo/angles.hpp"
+#include "test_helpers.hpp"
 
 namespace starlab::obsmap {
 namespace {
+
+using starlab::testing::angular_difference_deg;
 
 const MapGeometry kGeom;  // published parameters
 
@@ -78,7 +81,7 @@ TEST_P(MapGeometryRoundTrip, PixelInverts) {
   // Azimuth quantization: one pixel subtends atan(1/r) of azimuth.
   const double r = (90.0 - el) / 65.0 * 45.0;
   const double az_tol = geo::rad_to_deg(std::atan2(1.0, std::max(r, 1.0))) + 1.0;
-  EXPECT_LT(geo::angular_difference_deg(sky->azimuth_deg, az), az_tol);
+  EXPECT_LT(angular_difference_deg(sky->azimuth_deg, az), az_tol);
 }
 
 INSTANTIATE_TEST_SUITE_P(

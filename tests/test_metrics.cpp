@@ -52,21 +52,5 @@ TEST(Metrics, Accuracy) {
                std::invalid_argument);
 }
 
-TEST(Metrics, ConfusionMatrix) {
-  const std::vector<int> pred{0, 1, 1, 2, 0};
-  const std::vector<int> truth{0, 1, 2, 2, 1};
-  const auto m = confusion_matrix(pred, truth, 3);
-  EXPECT_EQ(m[0][0], 1u);  // truth 0 predicted 0
-  EXPECT_EQ(m[1][1], 1u);
-  EXPECT_EQ(m[1][0], 1u);  // truth 1 predicted 0
-  EXPECT_EQ(m[2][1], 1u);
-  EXPECT_EQ(m[2][2], 1u);
-  std::size_t total = 0;
-  for (const auto& row : m) {
-    for (const std::size_t c : row) total += c;
-  }
-  EXPECT_EQ(total, 5u);
-}
-
 }  // namespace
 }  // namespace starlab::ml

@@ -91,19 +91,6 @@ TEST(ObstructionMap, XorProperties) {
   EXPECT_EQ(a.exclusive_or(b).exclusive_or(b), a);
 }
 
-TEST(ObstructionMap, MergeAccumulates) {
-  ObstructionMap acc, add;
-  acc.set(1, 1);
-  add.set(2, 2);
-  acc.merge(add);
-  EXPECT_TRUE(acc.get(1, 1));
-  EXPECT_TRUE(acc.get(2, 2));
-  EXPECT_EQ(acc.popcount(), 2u);
-  // Merging again changes nothing (idempotent for same input).
-  acc.merge(add);
-  EXPECT_EQ(acc.popcount(), 2u);
-}
-
 TEST(ObstructionMap, SubsetOf) {
   ObstructionMap small, big;
   small.set(4, 4);

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <random>
-#include <set>
 
 #include "ml/random_forest.hpp"
 
@@ -61,61 +59,6 @@ TEST(Oob, TracksGeneralizationNotMemorization) {
   EXPECT_GT(train_acc, 0.8);                 // memorized
   EXPECT_LT(forest.oob_accuracy(), 0.62);    // but does not generalize
   EXPECT_GT(forest.oob_accuracy(), 0.38);
-}
-
-TEST(Stratified, FoldsPartitionEverything) {
-  const Dataset d = blobs(51, 7);
-  std::mt19937_64 rng(8);
-  const auto folds = stratified_k_fold_splits(d, 5, rng);
-  ASSERT_EQ(folds.size(), 5u);
-
-  std::set<std::size_t> tested;
-  for (const IndexSplit& f : folds) {
-    EXPECT_EQ(f.train.size() + f.test.size(), d.size());
-    for (const std::size_t i : f.test) {
-      EXPECT_TRUE(tested.insert(i).second) << "index tested twice";
-    }
-  }
-  EXPECT_EQ(tested.size(), d.size());
-}
-
-TEST(Stratified, ClassBalancePreservedPerFold) {
-  // 3:1 imbalanced classes; every fold's test set must stay near 3:1.
-  Dataset d(1, {}, {"a", "b"});
-  for (int i = 0; i < 300; ++i) d.add_row(std::vector<double>{0.0}, 0);
-  for (int i = 0; i < 100; ++i) d.add_row(std::vector<double>{1.0}, 1);
-
-  std::mt19937_64 rng(9);
-  for (const IndexSplit& f : stratified_k_fold_splits(d, 4, rng)) {
-    std::map<int, int> counts;
-    for (const std::size_t i : f.test) counts[d.label(i)] += 1;
-    ASSERT_EQ(f.test.size(), 100u);
-    EXPECT_NEAR(counts[0], 75, 2);
-    EXPECT_NEAR(counts[1], 25, 2);
-  }
-}
-
-TEST(Stratified, RareClassInEveryFold) {
-  // A class with exactly k members lands once per fold.
-  Dataset d(1, {}, {"common", "rare"});
-  for (int i = 0; i < 96; ++i) d.add_row(std::vector<double>{0.0}, 0);
-  for (int i = 0; i < 4; ++i) d.add_row(std::vector<double>{1.0}, 1);
-
-  std::mt19937_64 rng(10);
-  for (const IndexSplit& f : stratified_k_fold_splits(d, 4, rng)) {
-    int rare = 0;
-    for (const std::size_t i : f.test) {
-      if (d.label(i) == 1) ++rare;
-    }
-    EXPECT_EQ(rare, 1);
-  }
-}
-
-TEST(Stratified, RejectsBadK) {
-  const Dataset d = blobs(10, 11);
-  std::mt19937_64 rng(12);
-  EXPECT_THROW((void)stratified_k_fold_splits(d, 1, rng),
-               std::invalid_argument);
 }
 
 }  // namespace

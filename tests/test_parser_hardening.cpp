@@ -59,7 +59,7 @@ TEST(ParserHardening, TleLenientRoutesNanIntoParseReport) {
   EXPECT_FALSE(report.clean());
   ASSERT_EQ(report.issues.size(), 1u);
   EXPECT_NE(report.issues[0].reason.find("non-finite"), std::string::npos)
-      << report.summary();
+      << report.records_skipped << " record(s) skipped";
 }
 
 std::string campaign_csv(const std::string& azimuth) {
@@ -83,7 +83,7 @@ TEST(ParserHardening, CampaignLenientRoutesInfIntoParseReport) {
   EXPECT_FALSE(report.clean());
   ASSERT_EQ(report.issues.size(), 1u);
   EXPECT_NE(report.issues[0].reason.find("non-finite"), std::string::npos)
-      << report.summary();
+      << report.records_skipped << " record(s) skipped";
   // The slot survives; only the corrupted candidate row is dropped.
   ASSERT_EQ(data.slots.size(), 1u);
   EXPECT_TRUE(data.slots[0].available.empty());

@@ -51,6 +51,7 @@ TEST(Pipeline, AccuracyOnlyCountsDecidedSlots) {
   SlotIdentification undecided;
   undecided.truth_norad = 1;
   r.rows = {good, good, bad, undecided};
+  r.summarize();
   EXPECT_NEAR(r.accuracy(), 2.0 / 3.0, 1e-12);
   EXPECT_EQ(r.decided(), 3u);
 }

@@ -1,9 +1,12 @@
 #include "ground/sites.hpp"
 
 #include <gtest/gtest.h>
+#include "test_helpers.hpp"
 
 namespace starlab::ground {
 namespace {
+
+using starlab::testing::paper_terminals;
 
 TEST(Sites, NamesMatchFigureLegends) {
   EXPECT_STREQ(site_name(Site::kIowa), "Iowa");

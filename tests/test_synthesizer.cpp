@@ -162,7 +162,7 @@ TEST(Synthesizer, EveryTleRoundTripsThroughLenientParserCleanly) {
   const std::vector<tle::Tle> parsed =
       tle::read_catalog_string_lenient(out.str(), report);
 
-  EXPECT_TRUE(report.clean()) << report.summary();
+  EXPECT_TRUE(report.clean()) << report.records_skipped << " record(s) skipped";
   EXPECT_EQ(report.records_ok, c.size());
   ASSERT_EQ(parsed.size(), c.size());
   for (std::size_t i = 0; i < parsed.size(); ++i) {

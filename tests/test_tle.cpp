@@ -60,7 +60,6 @@ TEST(TleParse, StarlinkFields) {
   EXPECT_EQ(t.norad_id, 44713);
   EXPECT_NEAR(t.inclination_deg, 53.0533, 1e-9);
   EXPECT_NEAR(t.mean_motion_rev_per_day, 15.0639081, 1e-7);
-  EXPECT_NEAR(t.period_minutes(), 1440.0 / 15.0639081, 1e-6);
 }
 
 TEST(TleParse, EpochJulianDate) {

@@ -4,9 +4,13 @@
 
 #include "geo/angles.hpp"
 #include "geo/wgs.hpp"
+#include "test_helpers.hpp"
 
 namespace starlab::geo {
 namespace {
+
+using starlab::testing::angular_difference_deg;
+using starlab::testing::direction_from_look;
 
 const Geodetic kObserver{40.0, -90.0, 0.0};
 

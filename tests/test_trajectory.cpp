@@ -84,17 +84,5 @@ TEST(Trajectory, ExtractDropsPixelsOutsidePlot) {
   EXPECT_EQ(traj.size(), 1u);
 }
 
-TEST(Trajectory, ExtractSkyPoints) {
-  obsmap::ObstructionMap frame;
-  frame.set(61, 61);  // zenith
-  frame.set(61, 16);  // north rim
-  frame.set(1, 1);    // outside
-  const auto pts = extract_sky_points(frame, obsmap::MapGeometry{});
-  ASSERT_EQ(pts.size(), 2u);
-  // One of them is the zenith.
-  const bool has_zenith = pts[0].elevation_deg > 89.0 || pts[1].elevation_deg > 89.0;
-  EXPECT_TRUE(has_zenith);
-}
-
 }  // namespace
 }  // namespace starlab::match

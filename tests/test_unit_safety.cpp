@@ -63,14 +63,14 @@ static_assert(
 static_assert(!std::is_invocable_v<decltype(look_angles), const Geodetic&,
                                    const Vec3&>);
 
-// direction_from_look refuses raw doubles (degrees? radians? — exactly the
+// sky_separation refuses raw doubles (degrees? radians? — exactly the
 // ambiguity the wrapper removes).
-static_assert(std::is_invocable_v<decltype(direction_from_look),
-                                  const Geodetic&, Deg, Deg>);
-static_assert(!std::is_invocable_v<decltype(direction_from_look),
-                                   const Geodetic&, double, double>);
-static_assert(!std::is_invocable_v<decltype(direction_from_look),
-                                   const Geodetic&, Rad, Rad>);
+static_assert(
+    std::is_invocable_v<decltype(sky_separation), Deg, Deg, Deg, Deg>);
+static_assert(!std::is_invocable_v<decltype(sky_separation), double, double,
+                                   double, double>);
+static_assert(!std::is_invocable_v<decltype(sky_separation), Rad, Rad, Rad,
+                                   Rad>);
 
 // The frame bridges only accept the frame they convert *from*.
 static_assert(std::is_invocable_v<decltype(teme_to_ecef), const TemeKm&,

@@ -69,11 +69,6 @@ TEST(UtcTime, FromYearAndDaysInvertsFractionalDoy) {
   EXPECT_NEAR(back.second, 15.5, 1e-4);
 }
 
-TEST(UtcTime, Iso8601Format) {
-  const UtcTime t{2023, 6, 1, 5, 38, 7.125};
-  EXPECT_EQ(t.to_iso8601(), "2023-06-01T05:38:07.125Z");
-}
-
 TEST(UtcTime, HmsFormat) {
   const UtcTime t{2023, 6, 1, 5, 38, 7.9};
   EXPECT_EQ(t.to_hms(), "05:38:07");

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include "test_helpers.hpp"
 
 namespace starlab::geo {
 namespace {
+
+using starlab::testing::cross;
 
 TEST(Vec3, Arithmetic) {
   const Vec3 a{1.0, 2.0, 3.0};
@@ -48,19 +51,19 @@ TEST(Vec3, DotAndNorm) {
 TEST(Vec3, CrossFollowsRightHandRule) {
   const Vec3 x{1.0, 0.0, 0.0};
   const Vec3 y{0.0, 1.0, 0.0};
-  const Vec3 z = x.cross(y);
+  const Vec3 z = cross(x, y);
   EXPECT_DOUBLE_EQ(z.x, 0.0);
   EXPECT_DOUBLE_EQ(z.y, 0.0);
   EXPECT_DOUBLE_EQ(z.z, 1.0);
   // Anti-commutative.
-  const Vec3 mz = y.cross(x);
+  const Vec3 mz = cross(y, x);
   EXPECT_DOUBLE_EQ(mz.z, -1.0);
 }
 
 TEST(Vec3, CrossIsPerpendicular) {
   const Vec3 a{1.2, -3.4, 5.6};
   const Vec3 b{-7.8, 9.0, 1.2};
-  const Vec3 c = a.cross(b);
+  const Vec3 c = cross(a, b);
   EXPECT_NEAR(c.dot(a), 0.0, 1e-12);
   EXPECT_NEAR(c.dot(b), 0.0, 1e-12);
 }

@@ -4,9 +4,12 @@
 
 #include <set>
 #include <vector>
+#include "test_helpers.hpp"
 
 namespace starlab::constellation {
 namespace {
+
+using starlab::testing::starlink_gen2_shells;
 
 using geo::Deg;
 using geo::Km;

@@ -87,6 +87,29 @@ std::size_t skip_paren_group(const std::string& text, std::size_t open) {
   return text.size();
 }
 
+/// The `::`-qualified chain ending with the identifier `tok` at `tok_pos`
+/// ("sun::is_sunlit"); `begin_out` receives the chain's first position.
+std::string chain_ending_at(const std::string& text, std::size_t tok_pos,
+                            const std::string& tok, std::size_t& begin_out) {
+  std::string chain = tok;
+  begin_out = tok_pos;
+  while (begin_out >= 3 && text.compare(begin_out - 2, 2, "::") == 0) {
+    std::size_t qb = 0;
+    const std::string q = ident_ending_at(text, begin_out - 3, qb);
+    if (q.empty()) break;
+    chain = q + "::" + chain;
+    begin_out = qb;
+  }
+  return chain;
+}
+
+/// True for a `.` or `->` member access ending at `at`.
+bool member_access_at(const std::string& text, std::size_t at) {
+  return at != std::string::npos &&
+         (text[at] == '.' ||
+          (text[at] == '>' && at > 0 && text[at - 1] == '-'));
+}
+
 /// Last `::`-separated component of a name chain.
 std::string last_component(const std::string& chain) {
   const std::size_t sep = chain.rfind("::");
@@ -256,8 +279,21 @@ std::string category_name(int kind) {
     case 2: return "lock";
     case 3: return "throw";
     case 4: return "io";
+    case 5: return "ref";
     default: return "call";
   }
+}
+
+/// Constructors, destructors and operators run without being named at the
+/// call site, so the reachability pass treats them as roots.
+bool is_special_member(const FunctionDef& def) {
+  if (def.name.empty() || def.name[0] == '~' ||
+      def.name.rfind("operator", 0) == 0) {
+    return true;
+  }
+  const std::size_t sep = def.qualified.rfind("::");
+  return sep != std::string::npos && sep >= def.name.size() &&
+         last_component(def.qualified.substr(0, sep)) == def.name;
 }
 
 std::string sink_rule(int kind) { return "hotpath-" + category_name(kind); }
@@ -283,6 +319,11 @@ CallGraph::CallGraph(const std::vector<SourceFile>& files,
   texts_ = std::move(texts);
   sites_.resize(defs_.size());
   for (std::size_t d = 0; d < defs_.size(); ++d) extract_sites(d);
+  parent_.resize(defs_.size());
+  for (std::size_t d = 0; d < defs_.size(); ++d) {
+    parent_[d] = enclosing_def(defs_[d].file_index, defs_[d].body_begin);
+  }
+  for (std::size_t f = 0; f < files.size(); ++f) extract_file_scope_refs(f);
   // Immediately-invoked lambdas: `[]{ ... }()` executes in the enclosing
   // function, so give the enclosing def a call edge to the lambda.
   for (std::size_t d = 0; d < defs_.size(); ++d) {
@@ -333,6 +374,8 @@ void CallGraph::extract_sites(std::size_t def_index) {
   std::sort(nested.begin(), nested.end());
 
   std::vector<Site>& out = sites_[def_index];
+  // A constructor's init list runs with it; its names are uses, not sinks.
+  add_refs(text, def.init_begin + 1, def.body_begin, def.file_index, out);
   std::size_t i = begin;
   std::size_t nested_at = 0;
   while (i < end) {
@@ -374,7 +417,9 @@ void CallGraph::extract_sites(std::size_t def_index) {
       continue;
     }
     if (config_.macros.count(tok) != 0 && next < end && text[next] == '(') {
-      i = skip_paren_group(text, next);
+      const std::size_t close = skip_paren_group(text, next);
+      add_refs(text, next, close, def.file_index, out);
+      i = close;
       continue;
     }
     if (stream_objects().count(tok) != 0) {
@@ -386,6 +431,29 @@ void CallGraph::extract_sites(std::size_t def_index) {
       // `std::ostringstream os;` — a stream declared without constructor
       // parens is still I/O machinery.
       if (io_types().count(tok) != 0) sink(Site::Kind::kIo, tok);
+      // A function named without a call (`call_once(flag, init)`, `&f`,
+      // `run<T>(...)`) is still a use — unless it is a member access or
+      // the name being declared (`Type name`).
+      if (by_name_.count(tok) != 0 && text.compare(next, 2, "::") != 0) {
+        std::size_t chain_begin = 0;
+        const std::string chain = chain_ending_at(text, tok_pos, tok,
+                                                  chain_begin);
+        const std::size_t prev =
+            chain_begin == 0 ? std::string::npos
+                             : skip_ws_back(text, chain_begin - 1);
+        std::size_t pb = 0;
+        const std::string prev_id =
+            prev == std::string::npos ? "" : ident_ending_at(text, prev, pb);
+        if (!member_access_at(text, prev) &&
+            (prev_id.empty() || decl_excluded().count(prev_id) != 0)) {
+          Site ref;
+          ref.kind = Site::Kind::kRef;
+          ref.name = chain;
+          ref.pos = tok_pos;
+          ref.line = file.line_of(tok_pos);
+          out.push_back(std::move(ref));
+        }
+      }
       i = e;
       continue;
     }
@@ -397,17 +465,8 @@ void CallGraph::extract_sites(std::size_t def_index) {
     }
 
     // Walk the qualifier chain back across `::`.
-    std::string chain = tok;
-    std::size_t chain_begin = tok_pos;
-    while (chain_begin >= 2 &&
-           text.compare(chain_begin - 2, 2, "::") == 0) {
-      std::size_t qb = 0;
-      const std::string q =
-          chain_begin >= 3 ? ident_ending_at(text, chain_begin - 3, qb) : "";
-      if (q.empty()) break;
-      chain = q + "::" + chain;
-      chain_begin = qb;
-    }
+    std::size_t chain_begin = 0;
+    std::string chain = chain_ending_at(text, tok_pos, tok, chain_begin);
 
     bool member = false;
     std::string receiver;
@@ -416,7 +475,7 @@ void CallGraph::extract_sites(std::size_t def_index) {
                          : skip_ws_back(text, chain_begin - 1);
     if (before != std::string::npos) {
       const char p = text[before];
-      if (p == '.' || (p == '>' && before > 0 && text[before - 1] == '-')) {
+      if (member_access_at(text, before)) {
         // Member call: capture the receiver's trailing identifier chain.
         member = true;
         std::size_t r = p == '.' ? before - 1 : before - 2;
@@ -447,18 +506,7 @@ void CallGraph::extract_sites(std::size_t def_index) {
           std::size_t tb = 0;
           const std::string tmpl =
               ident_ending_at(text, skip_ws_back(text, open - 1), tb);
-          if (!tmpl.empty()) {
-            chain = tmpl;
-            std::size_t tcb = tb;
-            while (tcb >= 2 && text.compare(tcb - 2, 2, "::") == 0) {
-              std::size_t qb = 0;
-              const std::string q =
-                  tcb >= 3 ? ident_ending_at(text, tcb - 3, qb) : "";
-              if (q.empty()) break;
-              chain = q + "::" + chain;
-              tcb = qb;
-            }
-          }
+          if (!tmpl.empty()) chain = chain_ending_at(text, tb, tmpl, tb);
         }
       } else if (is_ident_char(p)) {
         std::size_t pb = 0;
@@ -467,16 +515,7 @@ void CallGraph::extract_sites(std::size_t def_index) {
             control_keywords().count(pid) == 0) {
           // `Type name(args)` — a declaration: the call is to Type's
           // constructor, not to `name`.
-          chain = pid;
-          std::size_t tcb = pb;
-          while (tcb >= 2 && text.compare(tcb - 2, 2, "::") == 0) {
-            std::size_t qb = 0;
-            const std::string q =
-                tcb >= 3 ? ident_ending_at(text, tcb - 3, qb) : "";
-            if (q.empty()) break;
-            chain = q + "::" + chain;
-            tcb = qb;
-          }
+          chain = chain_ending_at(text, pb, pid, pb);
           member = false;
         }
       }
@@ -547,8 +586,107 @@ void CallGraph::extract_sites(std::size_t def_index) {
     } else {
       site.kind = Site::Kind::kCall;
       out.push_back(site);
+      i = e;
+      continue;
+    }
+    // A sink or builtin name may also be a project function
+    // (`soa.push_back(...)`, `std::move(w).str()`): keep that edge for
+    // reachability.
+    if (by_name_.count(last) != 0) {
+      site.kind = Site::Kind::kRef;
+      out.push_back(site);
     }
     i = e;
+  }
+}
+
+void CallGraph::add_refs(const std::string& text, std::size_t begin,
+                         std::size_t end, std::size_t file_index,
+                         std::vector<Site>& out) const {
+  std::size_t i = begin;
+  while (i < end) {
+    if (!is_ident_char(text[i]) ||
+        std::isdigit(static_cast<unsigned char>(text[i])) != 0) {
+      ++i;
+      continue;
+    }
+    std::size_t e = i;
+    while (e < end && is_ident_char(text[e])) ++e;
+    const std::string tok = text.substr(i, e - i);
+    if (by_name_.count(tok) != 0 &&
+        text.compare(skip_ws_fwd(text, e), 2, "::") != 0) {
+      Site ref;
+      ref.kind = Site::Kind::kRef;
+      std::size_t chain_begin = 0;
+      ref.name = chain_ending_at(text, i, tok, chain_begin);
+      ref.pos = i;
+      ref.line = files_[file_index].line_of(i);
+      out.push_back(std::move(ref));
+    }
+    i = e;
+  }
+}
+
+void CallGraph::extract_file_scope_refs(std::size_t file_index) {
+  // #define bodies: a macro used in a reached body expands to their calls.
+  const std::string& raw = files_[file_index].scrubbed();
+  bool continued = false;
+  for (std::size_t i = 0; i < raw.size();) {
+    std::size_t eol = raw.find('\n', i);
+    if (eol == std::string::npos) eol = raw.size();
+    const std::size_t first = skip_ws_fwd(raw, i);
+    const bool define =
+        continued ||
+        (first < eol && raw[first] == '#' &&
+         raw.compare(skip_ws_fwd(raw, first + 1), 6, "define") == 0);
+    continued = define && eol > i && raw[eol - 1] == '\\';
+    if (define) add_refs(raw, first, eol, file_index, file_scope_refs_);
+    i = eol + 1;
+  }
+
+  // Initializers outside every function extent: from a lone `=` to the `;`,
+  // `,` or closing bracket that ends it.
+  const std::string& text = texts_[file_index];
+  std::vector<std::pair<std::size_t, std::size_t>> bodies;
+  for (const FunctionDef& def : defs_) {
+    if (def.file_index == file_index) {
+      bodies.emplace_back(def.init_begin, def.body_end);
+    }
+  }
+  std::sort(bodies.begin(), bodies.end());
+  std::size_t next_body = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    while (next_body < bodies.size() && bodies[next_body].second <= i) {
+      ++next_body;
+    }
+    if (next_body < bodies.size() && i >= bodies[next_body].first) {
+      i = bodies[next_body].second - 1;
+      continue;
+    }
+    if (text[i] != '=') continue;
+    const char before = i == 0 ? ' ' : text[i - 1];
+    const char after = i + 1 < text.size() ? text[i + 1] : ' ';
+    if (after == '=' || std::string("=!<>+-*/%&|^").find(before) !=
+                            std::string::npos) {
+      continue;
+    }
+    std::size_t ob = 0;
+    if (ident_ending_at(text, skip_ws_back(text, i - 1), ob) == "operator") {
+      continue;
+    }
+    int depth = 0;
+    std::size_t end = i + 1;
+    for (; end < text.size(); ++end) {
+      const char c = text[end];
+      if (c == '(' || c == '[' || c == '{') ++depth;
+      if (c == ')' || c == ']' || c == '}') {
+        if (depth == 0) break;
+        --depth;
+      }
+      if (depth == 0 && (c == ';' || c == ',')) break;
+    }
+    add_refs(text, i + 1, end, file_index, file_scope_refs_);
+    i = end;
   }
 }
 
@@ -659,8 +797,8 @@ std::vector<std::size_t> CallGraph::resolve(const Site& site,
 std::vector<Finding> CallGraph::hotpath_findings() const {
   std::vector<Finding> findings;
   for (std::size_t root = 0; root < defs_.size(); ++root) {
-    if (!defs_[root].hotpath) continue;
     const SourceFile& root_file = files_[defs_[root].file_index];
+    if (!defs_[root].hotpath || is_root_path(root_file.path())) continue;
 
     // BFS with parent tracking for readable call chains.
     std::map<std::size_t, std::size_t> parent;
@@ -690,6 +828,7 @@ std::vector<Finding> CallGraph::hotpath_findings() const {
       queue.pop_front();
       const SourceFile& file = files_[defs_[d].file_index];
       for (const Site& site : sites_[d]) {
+        if (site.kind == Site::Kind::kRef) continue;
         if (site.kind != Site::Kind::kCall) {
           const std::string rule = sink_rule(static_cast<int>(site.kind));
           if (file.allowed(rule, site.line)) continue;
@@ -951,7 +1090,8 @@ std::vector<Finding> CallGraph::lock_order_findings() const {
               desc += next;
               const EdgeSite& at = edges.at({node, next});
               const SourceFile& file = files_[at.file_index];
-              if (!file.allowed("lock-order", at.line)) {
+              if (!is_root_path(file.path()) &&
+                  !file.allowed("lock-order", at.line)) {
                 findings.push_back({"lock-order", file.path(), at.line,
                                     "lock acquisition cycle: " + desc});
               }
@@ -971,6 +1111,66 @@ std::vector<Finding> CallGraph::lock_order_findings() const {
               return std::tie(a.file, a.line, a.message) <
                      std::tie(b.file, b.line, b.message);
             });
+  return findings;
+}
+
+std::vector<Finding> CallGraph::reachability_findings() const {
+  std::vector<bool> reached(defs_.size(), false);
+  std::deque<std::size_t> queue;
+  const auto reach = [&](std::size_t d) {
+    if (!reached[d]) {
+      reached[d] = true;
+      queue.push_back(d);
+    }
+  };
+  // A function kept by an allow comment keeps its callees too.
+  for (std::size_t d = 0; d < defs_.size(); ++d) {
+    const SourceFile& file = files_[defs_[d].file_index];
+    if (is_root_path(file.path()) || is_special_member(defs_[d]) ||
+        (defs_[d].is_lambda && parent_[d] == SIZE_MAX) ||
+        file.allowed("reachability", defs_[d].line)) {
+      reach(d);
+    }
+  }
+  bool vetted = false;
+  for (const Site& site : file_scope_refs_) {
+    for (std::size_t t : resolve(site, SIZE_MAX, vetted)) reach(t);
+  }
+  // Children: lambdas and local-class methods defined in a reached body.
+  std::map<std::size_t, std::vector<std::size_t>> children;
+  for (std::size_t d = 0; d < defs_.size(); ++d) {
+    if (parent_[d] != SIZE_MAX) children[parent_[d]].push_back(d);
+  }
+  while (!queue.empty()) {
+    const std::size_t d = queue.front();
+    queue.pop_front();
+    for (const Site& site : sites_[d]) {
+      if (site.kind != Site::Kind::kCall && site.kind != Site::Kind::kRef) {
+        continue;
+      }
+      for (std::size_t t : resolve(site, d, vetted)) reach(t);
+    }
+    const auto kids = children.find(d);
+    if (kids != children.end()) {
+      for (std::size_t t : kids->second) reach(t);
+    }
+  }
+
+  std::vector<Finding> findings;
+  for (std::size_t d = 0; d < defs_.size(); ++d) {
+    const FunctionDef& def = defs_[d];
+    const SourceFile& file = files_[def.file_index];
+    if (reached[d] || parent_[d] != SIZE_MAX ||
+        file.path().rfind("src/", 0) != 0) {
+      continue;
+    }
+    findings.push_back(
+        {"reachability", file.path(), def.line,
+         "'" + def.qualified +
+             "' is reachable from no entry point under bench/, examples/, "
+             "tools/, fuzz/ or perfbench/; call it from one, delete it, or "
+             "keep it with `starlint:allow(reachability): <reason>`"});
+  }
   return findings;
 }
 
@@ -994,6 +1194,19 @@ std::string CallGraph::dump() const {
         << "  " << files_[mu.file_index].path() << ":" << mu.line << "\n";
   }
   return out.str();
+}
+
+const std::vector<std::string>& root_dirs() {
+  static const std::vector<std::string> dirs = {
+      "bench/", "examples/", "tools/", "fuzz/", "perfbench/"};
+  return dirs;
+}
+
+bool is_root_path(const std::string& path) {
+  for (const std::string& dir : root_dirs()) {
+    if (path.rfind(dir, 0) == 0) return true;
+  }
+  return false;
 }
 
 std::vector<Finding> run_graph_rules(const std::vector<SourceFile>& files,

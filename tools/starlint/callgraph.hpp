@@ -24,6 +24,17 @@
 //   fall back to a merged per-name identity, and self-edges are ignored
 //   (same-name mutexes of unrelated classes).
 //
+//   reachability — every src/ function must be reachable from a shipped
+//   entry point. The roots are every function defined under bench/,
+//   examples/, tools/, fuzz/ and perfbench/; constructors, destructors and
+//   operators (called without being named); lambdas outside any function;
+//   functions kept by `starlint:allow(reachability)`; and the names used in
+//   namespace-scope initializers and #define bodies.
+//   Edges are calls, names used without a call (callbacks, `&f`,
+//   `f<T>(...)`), constructor init lists, contract-macro arguments and
+//   lambdas nested in a reached body. Root files only feed the graph: the
+//   hot-path and lock-order rules report on src/ alone.
+//
 // Call resolution is deliberately conservative and name-based (no types):
 // member-call vocabulary of the standard library is classified directly
 // (growing ops are allocation sinks, accessors are pure), qualified names
@@ -49,6 +60,13 @@
 
 namespace starlint {
 
+/// True when `path` (repo-relative) lies under one of the directories whose
+/// functions are the program's entry points.
+[[nodiscard]] bool is_root_path(const std::string& path);
+
+/// Those directories ("bench/", "examples/", ...), '/'-terminated.
+[[nodiscard]] const std::vector<std::string>& root_dirs();
+
 class CallGraph {
  public:
   /// Index `files` and extract call sites. The files vector must outlive
@@ -61,6 +79,10 @@ class CallGraph {
   /// Lock-order findings (rule lock-order): one per distinct cycle.
   [[nodiscard]] std::vector<Finding> lock_order_findings() const;
 
+  /// Reachability findings (rule reachability): one per src/ function that
+  /// no root reaches, at its definition line.
+  [[nodiscard]] std::vector<Finding> reachability_findings() const;
+
   /// Every indexed function definition, in (file, body_begin) order.
   [[nodiscard]] const std::vector<FunctionDef>& functions() const {
     return defs_;
@@ -72,7 +94,9 @@ class CallGraph {
 
  private:
   struct Site {
-    enum class Kind { kCall, kAlloc, kLock, kThrow, kIo };
+    // kRef: a function named without a call — an edge for reachability
+    // only; the hot-path and lock-order passes ignore it.
+    enum class Kind { kCall, kAlloc, kLock, kThrow, kIo, kRef };
     Kind kind = Kind::kCall;
     std::string name;      // callee chain ("sun::is_sunlit") or sink name
     std::string receiver;  // member calls: the receiver's identifier chain
@@ -84,6 +108,14 @@ class CallGraph {
   };
 
   void extract_sites(std::size_t def_index);
+  /// Append a kRef site for every indexed function name in
+  /// text[begin, end) — spans whose code runs but is not a plain body
+  /// (init lists, contract-macro arguments, initializers, #defines).
+  void add_refs(const std::string& text, std::size_t begin, std::size_t end,
+                std::size_t file_index, std::vector<Site>& out) const;
+  /// kRef sites of code that runs outside every function body: initializers
+  /// after `=` at namespace or class scope, and #define bodies.
+  void extract_file_scope_refs(std::size_t file_index);
   [[nodiscard]] bool is_vetted(const std::string& qualified) const;
   /// Indices of defs a call chain resolves to (empty: unknown or vetted —
   /// `vetted` distinguishes why). Ambiguous unions shrink via unqualified
@@ -108,6 +140,10 @@ class CallGraph {
   std::vector<std::string> texts_;
   std::vector<FunctionDef> defs_;
   std::vector<std::vector<Site>> sites_;  // parallel to defs_
+  /// Innermost def whose body contains each def (SIZE_MAX: none).
+  std::vector<std::size_t> parent_;
+  /// Uses outside every function body; reachability roots.
+  std::vector<Site> file_scope_refs_;
   std::vector<MutexDecl> mutexes_;
   std::map<std::string, std::vector<std::size_t>> by_name_;
   /// def -> lambda defs invoked immediately at their closing brace (IIFE):

@@ -1,5 +1,6 @@
 #include "functions.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <set>
 
@@ -53,6 +54,12 @@ std::string ident_ending_at(const std::string& text, std::size_t end,
   begin_out = b;
   if (std::isdigit(static_cast<unsigned char>(text[b])) != 0) return "";
   return text.substr(b, end - b + 1);
+}
+
+/// Position of the first non-space char at or after `i`.
+std::size_t skip_ws_fwd(const std::string& text, std::size_t i) {
+  while (i < text.size() && is_space(text[i])) ++i;
+  return i;
 }
 
 /// Match a closing bracket backwards: `at` holds the closer; returns the
@@ -270,6 +277,7 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
           def.line = brace_line;
           def.body_begin = i;
           def.body_end = n;
+          def.init_begin = i;
           def.is_lambda = true;
           def.hotpath = file.hotpath_marked(brace_line);
           scope.kind = Kind::kFunction;
@@ -311,13 +319,20 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
             scope.name = name.empty() ? "(anon)" : name;
           } else if (class_at != SIZE_MAX) {
             scope.kind = Kind::kClass;
+            // The name is the last identifier before the base clause or the
+            // template arguments, so attribute macros in front of it
+            // (`class CAPABILITY(...) Mutex`) are passed over.
             static const std::set<std::string> skip = {
-                "class", "struct", "final", "alignas", "public",
-                "protected", "private", "virtual"};
+                "class", "struct", "final", "alignas"};
+            std::size_t base = head.find(':', toks[class_at].pos);
+            while (base != std::string::npos && base + 1 < head.size() &&
+                   head[base + 1] == ':') {
+              base = head.find(':', base + 2);
+            }
+            base = std::min(base, head.find('<', toks[class_at].pos));
             for (std::size_t t = class_at + 1; t < toks.size(); ++t) {
-              if (skip.count(toks[t].text) != 0) continue;
-              scope.name = toks[t].text;
-              break;
+              if (base != std::string::npos && toks[t].pos > base) break;
+              if (skip.count(toks[t].text) == 0) scope.name = toks[t].text;
             }
             if (scope.name.empty()) scope.name = "(anon)";
           } else {
@@ -325,16 +340,28 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
             // not a control keyword. Constructor init lists keep the
             // constructor name first, so "first" is the right pick.
             std::size_t name_pos = std::string::npos;
+            std::size_t params_open = std::string::npos;
             std::string chain;
             for (std::size_t t = 0; t < toks.size(); ++t) {
-              std::size_t after = toks[t].pos + toks[t].text.size();
-              while (after < head.size() && (head[after] == ' ' ||
-                                             head[after] == '\t' ||
-                                             head[after] == '\n')) {
-                ++after;
+              std::size_t after = skip_ws_fwd(
+                  head, toks[t].pos + toks[t].text.size());
+              // `operator==(`, `operator()(`, `operator bool(`: the name
+              // runs from the keyword to the parameter list.
+              const bool op = toks[t].text == "operator";
+              std::string name = toks[t].text;
+              if (op) {
+                std::size_t open = head.find('(', after);
+                if (open != std::string::npos && open == after) {
+                  open = head.find('(', open + 1);
+                }
+                if (open == std::string::npos) continue;
+                for (std::size_t k = after; k < open; ++k) {
+                  if (!is_space(head[k])) name += head[k];
+                }
+                after = open;
               }
               if (after >= head.size() || head[after] != '(') continue;
-              if (control_keywords().count(toks[t].text) != 0) continue;
+              if (!op && control_keywords().count(toks[t].text) != 0) continue;
               // Depth check: count parens before this token.
               int d = 0;
               for (std::size_t k = 0; k < toks[t].pos; ++k) {
@@ -344,7 +371,7 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
               if (d != 0) continue;
               // Walk the qualifier chain back: A::B::~name.
               std::size_t b = toks[t].pos;
-              chain = toks[t].text;
+              chain = name;
               std::size_t back = b;
               while (back >= 2 && head.compare(back - 2, 2, "::") == 0) {
                 std::size_t qb = 0;
@@ -358,6 +385,7 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
               // destructors always reach here with a bare class name.
               if (b > 0 && head[b - 1] == '~') chain = "~" + chain;
               name_pos = toks[t].pos;
+              params_open = after;
               break;
             }
             if (name_pos != std::string::npos) {
@@ -373,6 +401,21 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
               def.line = file.line_of(head_start + name_pos);
               def.body_begin = i;
               def.body_end = n;
+              def.init_begin = i;
+              // A constructor init list starts at the first lone ':' after
+              // the parameter list.
+              int depth = 0;
+              for (std::size_t k = params_open; k < head.size(); ++k) {
+                if (head[k] == '(') ++depth;
+                if (head[k] == ')') --depth;
+                if (depth != 0 || head[k] != ':') continue;
+                if (k + 1 < head.size() && head[k + 1] == ':') {
+                  ++k;
+                  continue;
+                }
+                def.init_begin = head_start + k;
+                break;
+              }
               bool macro = false;
               for (const HeadToken& t : toks) {
                 if (t.text == "STARLAB_HOTPATH") macro = true;

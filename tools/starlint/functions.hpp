@@ -31,7 +31,8 @@
 
 namespace starlint {
 
-/// One function (or lambda) definition.
+/// One function (or lambda) definition. Operators are named with their
+/// symbol ("operator==", "operator()").
 struct FunctionDef {
   /// Unqualified name; lambdas report "<lambda>".
   std::string name;
@@ -47,6 +48,9 @@ struct FunctionDef {
   std::size_t body_begin = 0;
   /// One past the closing '}' (file end when unbalanced).
   std::size_t body_end = 0;
+  /// Start of a constructor's init list (its ':'); body_begin otherwise.
+  /// Calls in [init_begin, body_begin) run as part of the function.
+  std::size_t init_begin = 0;
   bool hotpath = false;
   bool is_lambda = false;
 };

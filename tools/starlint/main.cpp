@@ -8,8 +8,11 @@
 // Files come from the compilation database (translation units under
 // <root>/src) plus a header walk of <root>/src — headers never appear in a
 // compilation database, and the rules care about them most. Without a
-// database the directory walk alone decides. Explicit positional paths
-// bypass discovery entirely (the fixture tests use this).
+// database the directory walk alone decides. The entry-point directories
+// (bench/, examples/, tools/, fuzz/, perfbench/) are walked too: their
+// functions are the reachability roots, and they feed only the call graph.
+// Explicit positional paths bypass discovery entirely (the fixture tests use
+// this); then only the entry-point files among them are roots.
 //
 // Exit codes: 0 clean (findings all baselined), 1 findings beyond the
 // baseline or a stale baseline, 2 usage/config error.
@@ -90,9 +93,11 @@ std::set<std::string> discover(const Options& opt, const fs::path& root) {
     const std::string rel = relative_path(f, root);
     if (rel.rfind("src/", 0) == 0 && fs::exists(f)) files.insert(rel);
   }
-  const fs::path src = root / "src";
-  if (fs::is_directory(src)) {
-    for (const auto& entry : fs::recursive_directory_iterator(src)) {
+  std::vector<std::string> dirs = starlint::root_dirs();
+  dirs.push_back("src");
+  for (const std::string& dir : dirs) {
+    if (!fs::is_directory(root / dir)) continue;
+    for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
       if (!entry.is_regular_file()) continue;
       const std::string rel = relative_path(entry.path(), root);
       if (has_suffix(rel, ".hpp") || has_suffix(rel, ".cpp")) {
@@ -220,6 +225,7 @@ int main(int argc, char** argv) {
 
     std::vector<starlint::Finding> findings;
     for (const starlint::SourceFile& file : sources) {
+      if (starlint::is_root_path(file.path())) continue;
       const std::vector<starlint::Finding> fs_ = run_rules(file, config);
       findings.insert(findings.end(), fs_.begin(), fs_.end());
     }
@@ -230,6 +236,8 @@ int main(int argc, char** argv) {
       findings.insert(findings.end(), hot.begin(), hot.end());
       const std::vector<starlint::Finding> locks = graph.lock_order_findings();
       findings.insert(findings.end(), locks.begin(), locks.end());
+      const std::vector<starlint::Finding> dead = graph.reachability_findings();
+      findings.insert(findings.end(), dead.begin(), dead.end());
     }
 
     if (!opt.only.empty()) {

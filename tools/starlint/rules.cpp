@@ -263,7 +263,7 @@ const std::vector<std::string>& all_rule_ids() {
       "det-wallclock",      "det-getenv",      "det-unordered-iter",
       "raw-unit-double",    "nodiscard-loader", "hotpath-alloc",
       "hotpath-lock",       "hotpath-throw",   "hotpath-io",
-      "hotpath-unknown",    "lock-order"};
+      "hotpath-unknown",    "lock-order",      "reachability"};
   return ids;
 }
 
@@ -298,6 +298,9 @@ std::string rule_description(const std::string& rule) {
   if (rule == "lock-order")
     return "the cross-TU lock acquisition graph must stay acyclic (ABBA "
            "deadlock)";
+  if (rule == "reachability")
+    return "every src/ function must be reachable from an entry point under "
+           "bench/, examples/, tools/, fuzz/ or perfbench/";
   throw std::invalid_argument("unknown starlint rule: " + rule);
 }
 
