@@ -10,7 +10,6 @@
 #include <cstdlib>
 
 #include "core/starlab.hpp"
-#include "sun/solar_ephemeris.hpp"
 
 using namespace starlab;
 
@@ -43,37 +42,19 @@ int main(int argc, char** argv) {
 
   int hits_top5 = 0, total = 0;
   for (time::SlotIndex s = first_future; s < first_future + 5; ++s) {
-    // Build the feature row exactly as a user would: observable data only.
-    const time::JulianDate jd =
-        time::JulianDate::from_unix_seconds(scenario.grid().slot_mid(s));
-    core::SlotObs obs;
-    obs.slot = s;
-    obs.terminal_index = 0;
-    obs.unix_mid = scenario.grid().slot_mid(s);
-    obs.local_hour = sun::local_solar_hour(
-        scenario.terminal(0).site().longitude_deg, obs.unix_mid);
-    for (const auto& c :
-         scenario.terminal(0).usable_candidates(scenario.catalog(), jd)) {
-      obs.available.push_back({c.sky.norad_id, c.sky.look.azimuth_deg,
-                               c.sky.look.elevation_deg, c.sky.age_days,
-                               c.sky.sunlit});
-    }
+    // The feature row uses observable data only; the oracle's pick, made
+    // from the same sky, supplies the true cluster.
+    const ground::Terminal& terminal = scenario.terminal(0);
+    const std::vector<ground::Candidate> sky = terminal.candidates(
+        scenario.catalog(),
+        time::JulianDate::from_unix_seconds(scenario.grid().slot_mid(s)));
+    const auto truth = scenario.global_scheduler().allocate_from(terminal, s, sky);
+    const core::SlotObs obs = core::observe_slot(
+        scenario, 0, s, sky,
+        truth.has_value() ? std::optional<int>(truth->norad_id) : std::nullopt);
     const auto features = featurizer.featurize(obs);
     const std::vector<int> ranked = forest.ranked_classes(features.x);
-
-    // Ground truth from the oracle.
-    const auto truth = scenario.global_scheduler().allocate(
-        scenario.terminal(0), s);
-    int truth_cluster = -1;
-    if (truth.has_value()) {
-      core::SlotObs withpick = obs;
-      for (std::size_t i = 0; i < withpick.available.size(); ++i) {
-        if (withpick.available[i].norad_id == truth->norad_id) {
-          withpick.chosen = static_cast<int>(i);
-        }
-      }
-      truth_cluster = featurizer.featurize(withpick).label;
-    }
+    const int truth_cluster = features.label;
 
     std::printf("  slot %+d: predicted clusters", static_cast<int>(s - first_future));
     bool hit = false;

@@ -39,6 +39,39 @@ struct CampaignMetrics {
 
 }  // namespace
 
+std::uint64_t quality::count(const Counts& counts, std::uint32_t bit) {
+  const char* name = flag_name(bit);
+  for (const auto& [flag, n] : counts) {
+    if (name != nullptr && flag == name) return n;
+  }
+  return 0;
+}
+
+SlotObs observe_slot(const Scenario& scenario, std::size_t terminal_index,
+                     time::SlotIndex slot,
+                     std::span<const ground::Candidate> candidates,
+                     std::optional<int> chosen_norad) {
+  SlotObs obs;
+  obs.slot = slot;
+  obs.terminal_index = terminal_index;
+  obs.unix_mid = scenario.grid().slot_mid(slot);
+  obs.local_hour = sun::local_solar_hour(
+      scenario.terminal(terminal_index).site().longitude_deg, obs.unix_mid);
+  // The usable candidates are the paper's "available satellites".
+  for (const ground::Candidate& c : candidates) {
+    if (!c.usable()) continue;
+    if (chosen_norad.has_value() && !obs.has_choice() &&
+        c.sky.norad_id == *chosen_norad) {
+      obs.chosen = static_cast<int>(obs.available.size());
+    }
+    obs.available.push_back({c.sky.norad_id, c.sky.look.azimuth_deg,
+                             c.sky.look.elevation_deg, c.sky.age_days,
+                             c.sky.sunlit});
+  }
+  if (!obs.has_choice()) obs.confidence = 0.0;
+  return obs;
+}
+
 std::vector<const SlotObs*> CampaignData::for_terminal(
     std::size_t terminal_index) const {
   std::vector<const SlotObs*> out;
@@ -98,19 +131,11 @@ void finalize_campaign_report(CampaignData& data,
   report.slots = data.slots.size();
   report.decided = 0;
   report.degraded = 0;
-  report.quality.clear();
-  for (const quality::Flag& f : quality::kFlags) {
-    report.quality.emplace_back(f.name, 0);
-  }
   for (const SlotObs& slot : data.slots) {
     if (slot.has_choice()) ++report.decided;
     if (slot.quality != 0) ++report.degraded;
-    for (std::size_t f = 0; f < std::size(quality::kFlags); ++f) {
-      if ((slot.quality & quality::kFlags[f].bit) != 0) {
-        ++report.quality[f].second;
-      }
-    }
   }
+  report.quality = quality::tally(data.slots);
   report.fault_plan = fault::format_fault_plan(plan);
 }
 
@@ -182,8 +207,8 @@ CampaignData run_campaign(const Scenario& scenario,
           if (config.cancel != nullptr) config.cancel->check();
           SlotWork& work = per_slot[k];
           const time::SlotIndex s = slot_ids[k];
-          const double t_mid = grid.slot_mid(s);
-          const time::JulianDate jd = time::JulianDate::from_unix_seconds(t_mid);
+          const time::JulianDate jd =
+              time::JulianDate::from_unix_seconds(grid.slot_mid(s));
 
           for (std::size_t ti = 0; ti < scenario.terminals().size(); ++ti) {
             const ground::Terminal& terminal = scenario.terminal(ti);
@@ -204,35 +229,15 @@ CampaignData run_campaign(const Scenario& scenario,
               candidates.erase(removed, candidates.end());
             }
 
-            SlotObs slot_obs;
-            slot_obs.slot = s;
-            slot_obs.terminal_index = ti;
-            slot_obs.unix_mid = t_mid;
-            slot_obs.local_hour =
-                sun::local_solar_hour(terminal.site().longitude_deg, t_mid);
-            if (any_dropped) slot_obs.quality |= quality::kCandidateDropout;
-
-            // Record the usable candidates (paper: "available satellites").
-            for (const ground::Candidate& c : candidates) {
-              if (!c.usable()) continue;
-              slot_obs.available.push_back(
-                  {c.sky.norad_id, c.sky.look.azimuth_deg,
-                   c.sky.look.elevation_deg, c.sky.age_days, c.sky.sunlit});
-            }
-
             const std::optional<scheduler::Allocation> alloc = [&] {
               const obs::ObsSpan span("campaign.allocate", &work.allocate);
               return global.allocate_from(terminal, s, candidates);
             }();
-            if (alloc.has_value()) {
-              for (std::size_t i = 0; i < slot_obs.available.size(); ++i) {
-                if (slot_obs.available[i].norad_id == alloc->norad_id) {
-                  slot_obs.chosen = static_cast<int>(i);
-                  break;
-                }
-              }
-            }
-            if (!slot_obs.has_choice()) slot_obs.confidence = 0.0;
+            SlotObs slot_obs = observe_slot(
+                scenario, ti, s, candidates,
+                alloc.has_value() ? std::optional<int>(alloc->norad_id)
+                                  : std::nullopt);
+            if (any_dropped) slot_obs.quality |= quality::kCandidateDropout;
             work.rows.push_back(std::move(slot_obs));
           }
         }
@@ -270,7 +275,7 @@ CampaignData run_campaign(const Scenario& scenario,
   metrics.slots.add(report.slots);
   metrics.chosen.add(report.decided);
   metrics.dropout_flagged.add(
-      report.quality[5].second);  // kCandidateDropout is the 6th flag
+      quality::count(report.quality, quality::kCandidateDropout));
   return data;
 }
 

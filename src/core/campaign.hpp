@@ -13,7 +13,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -55,6 +57,26 @@ inline constexpr Flag kFlags[] = {
   }
   return nullptr;
 }
+
+/// Per-flag row counts, one entry per kFlags in bit order (RunReport's
+/// `quality` table).
+using Counts = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// How many of `rows` (anything with a `quality` bit mask) carry each flag.
+template <class Rows>
+[[nodiscard]] Counts tally(const Rows& rows) {
+  Counts counts;
+  for (const Flag& f : kFlags) counts.emplace_back(f.name, 0);
+  for (const auto& row : rows) {
+    for (std::size_t f = 0; f < std::size(kFlags); ++f) {
+      if ((row.quality & kFlags[f].bit) != 0) ++counts[f].second;
+    }
+  }
+  return counts;
+}
+
+/// The count `counts` holds for one flag bit; 0 for unknown bits.
+[[nodiscard]] std::uint64_t count(const Counts& counts, std::uint32_t bit);
 }  // namespace quality
 
 /// One available satellite as recorded for one slot.
@@ -132,6 +154,17 @@ struct CampaignConfig {
   /// supervisor's deadline watchdog). nullptr: never cancelled.
   const exec::CancelToken* cancel = nullptr;
 };
+
+/// The observation of terminal `terminal_index` in `slot`: the slot
+/// midpoint and its local solar hour, the usable entries of `candidates` as
+/// the available set, and `chosen` at the first of them whose NORAD id is
+/// `chosen_norad` (none when absent or unset). Confidence is 1 with a choice
+/// and 0 without; quality is clean. Every campaign row is built here.
+[[nodiscard]] SlotObs observe_slot(const Scenario& scenario,
+                                   std::size_t terminal_index,
+                                   time::SlotIndex slot,
+                                   std::span<const ground::Candidate> candidates,
+                                   std::optional<int> chosen_norad);
 
 /// Run a campaign over the scenario's terminals starting at its TLE epoch.
 [[nodiscard]] CampaignData run_campaign(const Scenario& scenario,

@@ -4,7 +4,6 @@
 #include "fault/injectors.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sun/solar_ephemeris.hpp"
 
 namespace starlab::core {
 
@@ -43,11 +42,8 @@ void PipelineResult::summarize() {
   report.degraded = 0;
   report.compared = 0;
   report.correct = 0;
-  report.quality.clear();
+  report.quality = quality::tally(rows);
   report.abstain_reasons.clear();
-  for (const quality::Flag& f : quality::kFlags) {
-    report.quality.emplace_back(f.name, 0);
-  }
 
   double confidence_sum = 0.0;
   for (const SlotIdentification& r : rows) {
@@ -65,11 +61,6 @@ void PipelineResult::summarize() {
       ++report.compared;
       if (r.correct()) ++report.correct;
     }
-    for (std::size_t f = 0; f < std::size(quality::kFlags); ++f) {
-      if ((r.quality & quality::kFlags[f].bit) != 0) {
-        ++report.quality[f].second;
-      }
-    }
   }
   report.accuracy = report.compared == 0
                         ? 0.0
@@ -83,11 +74,7 @@ void PipelineResult::summarize() {
 }
 
 std::size_t PipelineResult::flagged(std::uint32_t quality_bit) const {
-  const char* name = quality::flag_name(quality_bit);
-  for (const auto& [flag, count] : report.quality) {
-    if (name != nullptr && flag == name) return count;
-  }
-  return 0;
+  return quality::count(report.quality, quality_bit);
 }
 
 InferencePipeline::InferencePipeline(const Scenario& scenario,
@@ -172,9 +159,15 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
       polls_missed_since_prev = 0;
     }
 
+    // The slot's one sky query: allocation picks from it, and the row keeps
+    // its usable entries for append_inferred_rows.
+    std::vector<ground::Candidate> sky;
     const std::optional<scheduler::Allocation> truth = [&] {
       const obs::ObsSpan span("pipeline.allocate", st_allocate);
-      return global.allocate(terminal, s);
+      sky = terminal.candidates(
+          scenario_.catalog(),
+          time::JulianDate::from_unix_seconds(grid.slot_mid(s)));
+      return global.allocate_from(terminal, s, sky);
     }();
     // The dish always paints; faults only affect what the poll observes.
     obsmap::ObstructionMap frame = [&] {
@@ -185,6 +178,8 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
     SlotIdentification row;
     row.slot = s;
     if (truth.has_value()) row.truth_norad = truth->norad_id;
+    std::erase_if(sky, [](const ground::Candidate& c) { return !c.usable(); });
+    row.sky = std::move(sky);
 
     {
       const obs::ObsSpan span("pipeline.observe", st_observe);
@@ -197,7 +192,7 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
       }
     }
     if ((row.quality & quality::kFrameMissing) != 0) {
-      result.rows.push_back(row);
+      result.rows.push_back(std::move(row));
       ++polls_missed_since_prev;
       continue;
     }
@@ -218,7 +213,7 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
         row.inferred_norad = id.best->norad_id;
         row.dtw = id.best->dtw;
       }
-      result.rows.push_back(row);
+      result.rows.push_back(std::move(row));
     }
     prev_frame = std::move(frame);
     polls_missed_since_prev = 0;
@@ -266,30 +261,11 @@ CampaignData InferencePipeline::run_inferred_campaign(
 void InferencePipeline::append_inferred_rows(CampaignData& data,
                                              const PipelineResult& result,
                                              std::size_t terminal_index) const {
-  const ground::Terminal& terminal = scenario_.terminal(terminal_index);
-  const time::SlotGrid& grid = scenario_.grid();
   for (const SlotIdentification& row : result.rows) {
-    const double t_mid = grid.slot_mid(row.slot);
-    const time::JulianDate jd = time::JulianDate::from_unix_seconds(t_mid);
-
-    SlotObs obs;
-    obs.slot = row.slot;
-    obs.terminal_index = terminal_index;
-    obs.unix_mid = t_mid;
-    obs.local_hour =
-        sun::local_solar_hour(terminal.site().longitude_deg, t_mid);
+    SlotObs obs = observe_slot(scenario_, terminal_index, row.slot, row.sky,
+                               row.inferred_norad);
     obs.quality = row.quality;
     obs.confidence = row.inferred_norad.has_value() ? row.confidence : 0.0;
-    for (const ground::Candidate& c :
-         terminal.usable_candidates(scenario_.catalog(), jd)) {
-      if (row.inferred_norad.has_value() &&
-          c.sky.norad_id == *row.inferred_norad) {
-        obs.chosen = static_cast<int>(obs.available.size());
-      }
-      obs.available.push_back({c.sky.norad_id, c.sky.look.azimuth_deg,
-                               c.sky.look.elevation_deg, c.sky.age_days,
-                               c.sky.sunlit});
-    }
     data.slots.push_back(std::move(obs));
   }
 }

@@ -31,6 +31,9 @@ struct SlotIdentification {
   std::uint32_t quality = 0;  ///< quality:: flags for this slot's inputs
   double confidence = 0.0;    ///< identifier confidence in `inferred_norad`
   match::AbstainReason abstain = match::AbstainReason::kNone;
+  /// The usable candidates at the slot midpoint, from the one sky query
+  /// that allocation used; append_inferred_rows records them as is.
+  std::vector<ground::Candidate> sky;
 
   [[nodiscard]] bool abstained() const {
     return abstain != match::AbstainReason::kNone;
@@ -110,6 +113,8 @@ class InferencePipeline {
   /// append them to `data` — the per-terminal body of
   /// run_inferred_campaign, public so the resilience layer can supervise
   /// terminals independently and still assemble an identical campaign.
+  /// Each row already carries the sky run() allocated against, so this
+  /// re-derives nothing: no sky query, no allocation.
   void append_inferred_rows(CampaignData& data, const PipelineResult& result,
                             std::size_t terminal_index) const;
 

@@ -35,11 +35,4 @@ std::vector<Candidate> Terminal::annotate(
   return out;
 }
 
-std::vector<Candidate> Terminal::usable_candidates(
-    const constellation::Catalog& catalog, const time::JulianDate& jd) const {
-  std::vector<Candidate> all = candidates(catalog, jd);
-  std::erase_if(all, [](const Candidate& c) { return !c.usable(); });
-  return all;
-}
-
 }  // namespace starlab::ground

@@ -56,10 +56,6 @@ class Terminal {
   [[nodiscard]] std::vector<Candidate> candidates(
       const constellation::Catalog& catalog, const time::JulianDate& jd) const;
 
-  /// Only the usable candidates (what the scheduler may pick from).
-  [[nodiscard]] std::vector<Candidate> usable_candidates(
-      const constellation::Catalog& catalog, const time::JulianDate& jd) const;
-
   /// candidates() against catalog snapshots precomputed for this instant by
   /// propagate_all(). Its only callers are the benchmark driver's per-layer
   /// replay and tests; the shipped paths call candidates().

@@ -9,10 +9,29 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obsmap/components.hpp"
+#include "obsmap/painter.hpp"
 
 namespace starlab::match {
 
 namespace {
+
+/// Fewer isolated trajectory pixels than this: give up on the slot.
+constexpr std::size_t kMinTrajectoryPixels = 4;
+/// Abstain when the runner-up's DTW distance is within this relative margin
+/// of the winner's: the evidence cannot tell the two apart.
+constexpr double kAbstainMargin = 0.02;
+/// Abstain when the winning normalized DTW distance (squared pixels per
+/// warping step) exceeds this: nothing in the sky actually fits the blob.
+constexpr double kAbstainMaxDtw = 30.0;
+/// Abstain when the second-largest connected component holds at least this
+/// fraction of the largest one's pixels (and is itself at least
+/// kMinTrajectoryPixels): two trajectories are mixed in one frame, and which
+/// of them belongs to *this* slot is unknowable.
+constexpr double kAmbiguousComponentRatio = 0.6;
+/// Reset detection: how many accumulated pixels the current frame may have
+/// *lost* before the pair is declared a reboot. A genuine reset wipes
+/// hundreds; transport bit flips lose a handful. Clean frames lose none.
+constexpr int kResetPixelTolerance = 8;
 
 /// Pre-registered identifier metrics: the DTW candidate loop is the §4 hot
 /// path, so every handle is an atomic add behind the process-wide switch.
@@ -62,7 +81,7 @@ std::vector<Point2> SatelliteIdentifier::candidate_path(
   std::vector<Point2> path;
   const double t_begin = grid_.slot_start(slot);
   const double t_end = grid_.slot_end(slot);
-  for (double t = t_begin; t < t_end; t += config_.sample_interval_sec) {
+  for (double t = t_begin; t < t_end; t += obsmap::kPathSampleSec) {
     const time::JulianDate jd = time::JulianDate::from_unix_seconds(t);
     const geo::LookAngles look =
         catalog_.look_at(catalog_index, terminal.site(), jd);
@@ -82,33 +101,31 @@ Identification SatelliteIdentifier::identify_isolated(
   metrics.slots.add();
   Identification out;
 
+  // Match only the largest connected component of the isolated frame:
+  // stray un-cancelled pixels from partial overlaps would otherwise drag the
+  // chained trajectory across the sky.
   std::vector<Point2> traj;
-  if (config_.use_largest_component) {
-    const std::vector<std::vector<obsmap::Pixel>> components =
-        obsmap::connected_components(isolated);
-    out.num_components = components.size();
-    if (!components.empty()) {
-      obsmap::ObstructionMap dominant;
-      for (const obsmap::Pixel& p : components.front()) dominant.set(p);
-      traj = extract_trajectory(dominant, geometry_);
-    }
-    // Two comparable blobs mean two satellites' paths ended up in one
-    // isolated frame (stale XOR baseline, mid-window reboot): whichever one
-    // we match, the slot attribution would be a guess.
-    if (config_.ambiguous_component_ratio > 0.0 && components.size() >= 2 &&
-        components[1].size() >= config_.min_trajectory_pixels &&
-        static_cast<double>(components[1].size()) >=
-            config_.ambiguous_component_ratio *
-                static_cast<double>(components[0].size())) {
-      out.abstain = AbstainReason::kAmbiguousComponents;
-    }
-  } else {
-    traj = extract_trajectory(isolated, geometry_);
-    out.num_components = isolated.popcount() > 0 ? 1 : 0;
+  const std::vector<std::vector<obsmap::Pixel>> components =
+      obsmap::connected_components(isolated);
+  out.num_components = components.size();
+  if (!components.empty()) {
+    obsmap::ObstructionMap dominant;
+    for (const obsmap::Pixel& p : components.front()) dominant.set(p);
+    traj = extract_trajectory(dominant, geometry_);
+  }
+  // Two comparable blobs mean two satellites' paths ended up in one isolated
+  // frame (stale XOR baseline, mid-window reboot): whichever one we match,
+  // the slot attribution would be a guess.
+  if (components.size() >= 2 &&
+      components[1].size() >= kMinTrajectoryPixels &&
+      static_cast<double>(components[1].size()) >=
+          kAmbiguousComponentRatio *
+              static_cast<double>(components[0].size())) {
+    out.abstain = AbstainReason::kAmbiguousComponents;
   }
   out.trajectory_pixels = traj.size();
   metrics.trajectory_pixels.observe(static_cast<double>(traj.size()));
-  if (traj.size() < config_.min_trajectory_pixels) {
+  if (traj.size() < kMinTrajectoryPixels) {
     out.abstain = AbstainReason::kStarvedTrajectory;
     metrics.abstentions.add();
     return out;
@@ -183,21 +200,19 @@ Identification SatelliteIdentifier::identify_isolated(
       out.ranked[1].dtw > 0.0) {
     margin = (out.ranked[1].dtw - d_best) / out.ranked[1].dtw;
   }
-  const double fit = config_.abstain_max_dtw > 0.0
-                         ? std::max(0.0, 1.0 - d_best / config_.abstain_max_dtw)
-                         : 1.0;
+  const double fit = std::max(0.0, 1.0 - d_best / kAbstainMaxDtw);
   out.confidence = margin * fit;
   STARLAB_ENSURE(out.confidence >= 0.0 && out.confidence <= 1.0,
                  "identifier confidence out of [0, 1]: " +
                      std::to_string(out.confidence));
 
-  if (config_.abstain_max_dtw > 0.0 && d_best > config_.abstain_max_dtw) {
+  if (d_best > kAbstainMaxDtw) {
     out.abstain = AbstainReason::kHighDistance;
     out.confidence = 0.0;
     metrics.abstentions.add();
     return out;
   }
-  if (config_.abstain_margin > 0.0 && margin < config_.abstain_margin) {
+  if (margin < kAbstainMargin) {
     out.abstain = AbstainReason::kLowMargin;
     out.confidence = 0.0;
     metrics.abstentions.add();
@@ -233,14 +248,12 @@ Identification SatelliteIdentifier::identify(
   // is NOT a subset of the current one, the dish was reset in between and
   // the current frame holds only the newest trajectory — use it directly
   // instead of an XOR that would resurrect the whole old sky. A few lost
-  // pixels are tolerated (transport bit flips, see reset_pixel_tolerance):
+  // pixels are tolerated (transport bit flips, see kResetPixelTolerance):
   // they end up as stray XOR pixels that the largest-component filter
   // already discards, while treating them as a reboot would wrongly match
   // against the whole accumulated sky.
-  const bool reset = config_.reset_pixel_tolerance > 0
-                         ? pixels_lost(prev_frame, curr_frame) >
-                               config_.reset_pixel_tolerance
-                         : !prev_frame.subset_of(curr_frame);
+  const bool reset =
+      pixels_lost(prev_frame, curr_frame) > kResetPixelTolerance;
   if (reset) {
     Identification id = identify_isolated(terminal, slot, curr_frame, snapshots);
     id.reset_detected = true;

@@ -79,35 +79,7 @@ struct Identification {
 };
 
 struct IdentifierConfig {
-  double sample_interval_sec = 1.0;  ///< candidate-path sampling
-  int dtw_band = 16;                 ///< Sakoe-Chiba half-width (pixels ~ samples)
-  std::size_t min_trajectory_pixels = 4;  ///< below this, give up
-  /// Match only the largest connected component of the isolated frame —
-  /// stray un-cancelled pixels from partial overlaps would otherwise drag
-  /// the chained trajectory across the sky.
-  bool use_largest_component = true;
-
-  // Abstention thresholds. Each one set to 0 disables that check (the
-  // identifier then answers whenever it has any finite-distance candidate,
-  // the pre-abstention behavior).
-  /// Abstain when the runner-up's DTW distance is within this relative
-  /// margin of the winner's: the evidence cannot tell the two apart.
-  double abstain_margin = 0.02;
-  /// Abstain when the winning normalized DTW distance (squared pixels per
-  /// warping step) exceeds this: nothing in the sky actually fits the blob.
-  double abstain_max_dtw = 30.0;
-  /// Abstain when the second-largest connected component holds at least
-  /// this fraction of the largest one's pixels (and is itself at least
-  /// min_trajectory_pixels): two trajectories are mixed in one frame, and
-  /// which of them belongs to *this* slot is unknowable.
-  double ambiguous_component_ratio = 0.6;
-  /// Reset detection: how many accumulated pixels the current frame may
-  /// have *lost* before the pair is declared a reboot. A genuine reset
-  /// wipes hundreds of pixels; transport bit flips lose a handful, and a
-  /// strict subset test would misread every flipped pixel as a reset. 0
-  /// keeps the strict test. On clean frames nothing is ever lost, so any
-  /// tolerance leaves clean-data behavior bit-identical.
-  int reset_pixel_tolerance = 8;
+  int dtw_band = 16;  ///< Sakoe-Chiba half-width (pixels ~ samples)
 };
 
 class SatelliteIdentifier {

@@ -47,13 +47,6 @@ ObstructionMap ObstructionMap::exclusive_or(const ObstructionMap& other) const {
   return out;
 }
 
-bool ObstructionMap::subset_of(const ObstructionMap& other) const {
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    if (bits_[i] && !other.bits_[i]) return false;
-  }
-  return true;
-}
-
 std::string ObstructionMap::to_pgm() const {
   constexpr std::size_t kPixels = static_cast<std::size_t>(kSize) * kSize;
   std::string out = "P5\n123 123\n255\n";

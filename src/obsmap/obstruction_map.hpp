@@ -54,9 +54,6 @@ class ObstructionMap {
   /// trajectory survives.
   [[nodiscard]] ObstructionMap exclusive_or(const ObstructionMap& other) const;
 
-  /// True if every set pixel of this map is also set in `other`.
-  [[nodiscard]] bool subset_of(const ObstructionMap& other) const;
-
   bool operator==(const ObstructionMap& other) const = default;
 
   /// Render as binary PGM (P5) for external viewing.

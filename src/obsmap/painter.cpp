@@ -37,7 +37,7 @@ void TrajectoryPainter::paint(const constellation::Catalog& catalog,
                               const ground::Terminal& terminal, double t_begin,
                               double t_end, ObstructionMap& frame) const {
   std::optional<Pixel> prev;
-  for (double t = t_begin; t < t_end; t += sample_interval_sec_) {
+  for (double t = t_begin; t < t_end; t += kPathSampleSec) {
     const time::JulianDate jd = time::JulianDate::from_unix_seconds(t);
     const geo::LookAngles look =
         catalog.look_at(catalog_index, terminal.site(), jd);

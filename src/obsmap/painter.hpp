@@ -19,11 +19,15 @@
 
 namespace starlab::obsmap {
 
+/// Path-sampling interval [s]: the painter samples a serving satellite's
+/// sky path at this rate, and the identifier samples candidate paths at the
+/// same rate so the two are comparable.
+inline constexpr double kPathSampleSec = 1.0;
+
 class TrajectoryPainter {
  public:
-  explicit TrajectoryPainter(MapGeometry geometry = {},
-                             double sample_interval_sec = 1.0)
-      : geometry_(geometry), sample_interval_sec_(sample_interval_sec) {}
+  explicit TrajectoryPainter(MapGeometry geometry = {})
+      : geometry_(geometry) {}
 
   /// Paint the sky path of `catalog_index` as seen from `terminal` over
   /// [t_begin, t_end) into `frame`. Consecutive samples are joined with a
@@ -36,7 +40,6 @@ class TrajectoryPainter {
 
  private:
   MapGeometry geometry_;
-  double sample_interval_sec_;
 };
 
 /// Dish-side accumulating recorder: one per terminal.

@@ -13,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resilience/checkpoint.hpp"
-#include "sun/solar_ephemeris.hpp"
 
 namespace starlab::resilience {
 
@@ -41,14 +40,9 @@ struct DurableMetrics {
 core::SlotObs gap_row(const core::Scenario& scenario,
                       const core::CampaignConfig& config, std::size_t record,
                       std::size_t terminal_index, std::uint32_t flags) {
-  core::SlotObs obs;
-  obs.slot = core::campaign_record_slot(scenario, config, record);
-  obs.terminal_index = terminal_index;
-  obs.unix_mid = scenario.grid().slot_mid(obs.slot);
-  obs.local_hour = sun::local_solar_hour(
-      scenario.terminal(terminal_index).site().longitude_deg, obs.unix_mid);
-  obs.chosen = -1;
-  obs.confidence = 0.0;
+  core::SlotObs obs = core::observe_slot(
+      scenario, terminal_index,
+      core::campaign_record_slot(scenario, config, record), {}, std::nullopt);
   obs.quality = flags;
   return obs;
 }

@@ -4,6 +4,8 @@
 
 #include "core/campaign.hpp"
 #include "fault/fault_plan.hpp"
+#include "obs/config.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 
 namespace starlab::core {
@@ -164,6 +166,34 @@ TEST(FaultCampaign, IntensityZeroIsBitIdenticalToUnfaulted) {
   const CampaignData zero = run_campaign(small_scenario(), faulted_cfg);
 
   expect_campaigns_identical(clean, zero);
+}
+
+TEST(FaultCampaign, DropoutMetricCountsFlaggedSlots) {
+  // starlab_campaign_dropout_slots_total grows by exactly the number of rows
+  // the run flags kCandidateDropout.
+  const obs::Config saved = obs::config();
+  obs::Config metrics_only;
+  metrics_only.metrics = true;
+  obs::set_config(metrics_only);
+  const obs::Counter dropout_slots = obs::MetricsRegistry::instance().counter(
+      "starlab_campaign_dropout_slots_total");
+  const std::uint64_t before = dropout_slots.value();
+
+  fault::FaultPlan plan;
+  plan.dropout.rate = 0.2;
+  CampaignConfig cfg;
+  cfg.duration_hours = 0.25;
+  cfg.faults = plan;
+  const CampaignData faulted = run_campaign(small_scenario(), cfg);
+  const std::uint64_t after = dropout_slots.value();
+  obs::set_config(saved);
+
+  std::uint64_t flagged = 0;
+  for (const SlotObs& s : faulted.slots) {
+    if ((s.quality & quality::kCandidateDropout) != 0) ++flagged;
+  }
+  EXPECT_GT(flagged, 0u);
+  EXPECT_EQ(after - before, flagged);
 }
 
 TEST(FaultCampaign, DropoutShrinksCandidateSetsAndFlagsSlots) {

@@ -10,6 +10,7 @@ namespace starlab::ground {
 namespace {
 
 using starlab::testing::small_scenario;
+using starlab::testing::usable_candidates;
 
 /// ECEF point at `alt_km` directly above a geodetic site.
 geo::EcefKm above(const geo::Geodetic& site, double alt_km) {
@@ -40,8 +41,8 @@ TEST(Gateway, DenseNetworkCoversPaperTerminals) {
       small_scenario().epoch_unix());
   std::size_t connected = 0, total = 0;
   for (std::size_t t = 0; t < 4; ++t) {
-    for (const Candidate& c : small_scenario().terminal(t).usable_candidates(
-             small_scenario().catalog(), jd)) {
+    for (const Candidate& c : usable_candidates(
+             small_scenario().terminal(t), small_scenario().catalog(), jd)) {
       ++total;
       const geo::EcefKm ecef = geo::teme_to_ecef(c.sky.position_teme_km, jd);
       if (net.has_gateway(ecef)) ++connected;
@@ -57,8 +58,8 @@ TEST(Gateway, SparseNetworkBindsSometimes) {
       small_scenario().epoch_unix());
   std::size_t connected = 0, total = 0;
   for (std::size_t t = 0; t < 4; ++t) {
-    for (const Candidate& c : small_scenario().terminal(t).usable_candidates(
-             small_scenario().catalog(), jd)) {
+    for (const Candidate& c : usable_candidates(
+             small_scenario().terminal(t), small_scenario().catalog(), jd)) {
       ++total;
       const geo::EcefKm ecef = geo::teme_to_ecef(c.sky.position_teme_km, jd);
       if (net.has_gateway(ecef)) ++connected;

@@ -11,6 +11,7 @@ namespace starlab::scheduler {
 namespace {
 
 using starlab::testing::small_scenario;
+using starlab::testing::usable_candidates;
 
 const GlobalScheduler& sched() { return small_scenario().global_scheduler(); }
 const ground::Terminal& iowa() { return small_scenario().terminal(0); }
@@ -67,7 +68,7 @@ TEST(GlobalScheduler, NeverPicksObstructedOrExcluded) {
   if (!alloc.has_value()) return;
   // The pick must be one of the usable candidates.
   bool found = false;
-  for (const auto& c : ithaca.usable_candidates(sched().catalog(), jd)) {
+  for (const auto& c : usable_candidates(ithaca, sched().catalog(), jd)) {
     if (c.sky.norad_id == alloc->norad_id) found = true;
   }
   EXPECT_TRUE(found);

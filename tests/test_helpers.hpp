@@ -21,7 +21,8 @@
 #include "geo/units.hpp"
 #include "geo/vec3.hpp"
 #include "ground/sites.hpp"
-#include "measurement/owd_prober.hpp"
+#include "ground/terminal.hpp"
+#include "obsmap/obstruction_map.hpp"
 #include "sun/solar_ephemeris.hpp"
 
 namespace starlab::testing {
@@ -96,13 +97,23 @@ inline double sun_elevation_deg(const geo::Geodetic& site,
   return geo::look_angles(site, sun_ecef).elevation_deg;
 }
 
-/// Largest |measured - true| over an OWD series: the clock's contribution.
-inline double max_clock_error_ms(const measurement::OwdSeries& series) {
-  double worst = 0.0;
-  for (const measurement::OwdSample& s : series.samples) {
-    worst = std::max(worst, std::fabs(s.measured_owd_ms - s.true_owd_ms));
+/// Only the usable candidates `terminal` sees at `jd` (what the scheduler
+/// may pick from).
+inline std::vector<ground::Candidate> usable_candidates(
+    const ground::Terminal& terminal, const constellation::Catalog& catalog,
+    const time::JulianDate& jd) {
+  std::vector<ground::Candidate> all = terminal.candidates(catalog, jd);
+  std::erase_if(all, [](const ground::Candidate& c) { return !c.usable(); });
+  return all;
+}
+
+/// True if every set pixel of `a` is also set in `b`.
+inline bool subset_of(const obsmap::ObstructionMap& a,
+                      const obsmap::ObstructionMap& b) {
+  for (std::size_t i = 0; i < obsmap::ObstructionMap::kNumWords; ++i) {
+    if ((a.word(i) & ~b.word(i)) != 0) return false;
   }
-  return worst;
+  return true;
 }
 
 /// The paper's four vantage-point terminals, in paper order.

@@ -55,10 +55,7 @@ TEST(Integration, Section4PipelineFeedsSection5Statistics) {
   std::vector<double> chosen_el, available_el;
   for (const core::SlotIdentification& row : inferred.rows) {
     if (!row.inferred_norad.has_value()) continue;
-    const auto jd = time::JulianDate::from_unix_seconds(
-        small_scenario().grid().slot_mid(row.slot));
-    for (const auto& c : small_scenario().terminal(0).usable_candidates(
-             small_scenario().catalog(), jd)) {
+    for (const auto& c : row.sky) {
       available_el.push_back(c.sky.look.elevation_deg);
       if (c.sky.norad_id == *row.inferred_norad) {
         chosen_el.push_back(c.sky.look.elevation_deg);

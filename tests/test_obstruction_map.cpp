@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_helpers.hpp"
+
 namespace starlab::obsmap {
 namespace {
 
@@ -92,14 +94,15 @@ TEST(ObstructionMap, XorProperties) {
 }
 
 TEST(ObstructionMap, SubsetOf) {
+  using starlab::testing::subset_of;
   ObstructionMap small, big;
   small.set(4, 4);
   big.set(4, 4);
   big.set(5, 5);
-  EXPECT_TRUE(small.subset_of(big));
-  EXPECT_FALSE(big.subset_of(small));
-  EXPECT_TRUE(small.subset_of(small));
-  EXPECT_TRUE(ObstructionMap().subset_of(small));
+  EXPECT_TRUE(subset_of(small, big));
+  EXPECT_FALSE(subset_of(big, small));
+  EXPECT_TRUE(subset_of(small, small));
+  EXPECT_TRUE(subset_of(ObstructionMap(), small));
 }
 
 TEST(ObstructionMap, PgmHeaderAndSize) {

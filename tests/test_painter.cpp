@@ -120,7 +120,7 @@ TEST(MapRecorderTest, SnapshotContainsAllPriorTrajectories) {
       sched.allocate(small_scenario().terminal(0), small_scenario().first_slot()));
   const ObstructionMap snap2 = recorder.record_slot(sched.allocate(
       small_scenario().terminal(0), small_scenario().first_slot() + 1));
-  EXPECT_TRUE(snap1.subset_of(snap2));
+  EXPECT_TRUE(starlab::testing::subset_of(snap1, snap2));
 }
 
 TEST(MapRecorderTest, ResetWipes) {

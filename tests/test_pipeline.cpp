@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <utility>
+
 #include "core/characterizer.hpp"
 #include "test_helpers.hpp"
 
@@ -106,6 +111,42 @@ TEST(Pipeline, InferredCampaignMatchesOracleCampaign) {
   // And the §5 headline statistic carries through.
   const SchedulerCharacterizer ch(inferred, small_scenario().catalog());
   EXPECT_GT(ch.aoe_stats(0).median_gap_deg, 5.0);
+}
+
+TEST(Pipeline, InferredSkyIsTheOracleSky) {
+  // run() queries each slot's sky once, for allocation and for the row; the
+  // inferred campaign must record exactly the midpoint, local hour and
+  // available set the oracle campaign records for the same (slot, terminal).
+  const InferencePipeline pipeline(small_scenario());
+  const CampaignData inferred = pipeline.run_inferred_campaign(600.0);
+  CampaignConfig cfg;
+  cfg.duration_hours = 0.25;  // covers the inferred window
+  const CampaignData oracle = run_campaign(small_scenario(), cfg);
+
+  std::map<std::pair<time::SlotIndex, std::size_t>, const SlotObs*> oracle_row;
+  for (const SlotObs& s : oracle.slots) {
+    oracle_row[{s.slot, s.terminal_index}] = &s;
+  }
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  ASSERT_GT(inferred.slots.size(), 100u);
+  for (const SlotObs& s : inferred.slots) {
+    const auto it = oracle_row.find({s.slot, s.terminal_index});
+    ASSERT_NE(it, oracle_row.end())
+        << "slot " << s.slot << " terminal " << s.terminal_index;
+    const SlotObs& o = *it->second;
+    EXPECT_EQ(bits(s.unix_mid), bits(o.unix_mid)) << "slot " << s.slot;
+    EXPECT_EQ(bits(s.local_hour), bits(o.local_hour)) << "slot " << s.slot;
+    ASSERT_EQ(s.available.size(), o.available.size()) << "slot " << s.slot;
+    for (std::size_t k = 0; k < s.available.size(); ++k) {
+      const CandidateObs& a = s.available[k];
+      const CandidateObs& b = o.available[k];
+      EXPECT_EQ(a.norad_id, b.norad_id);
+      EXPECT_EQ(bits(a.azimuth_deg), bits(b.azimuth_deg));
+      EXPECT_EQ(bits(a.elevation_deg), bits(b.elevation_deg));
+      EXPECT_EQ(bits(a.age_days), bits(b.age_days));
+      EXPECT_EQ(a.sunlit, b.sunlit);
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@ namespace starlab::ground {
 namespace {
 
 using starlab::testing::small_scenario;
+using starlab::testing::usable_candidates;
 
 time::JulianDate epoch_jd() {
   return time::JulianDate::from_unix_seconds(small_scenario().epoch_unix());
@@ -28,7 +29,7 @@ TEST(Terminal, UsableIsSubsetOfCandidates) {
   const Terminal& iowa = small_scenario().terminal(0);
   const auto all = iowa.candidates(small_scenario().catalog(), epoch_jd());
   const auto usable =
-      iowa.usable_candidates(small_scenario().catalog(), epoch_jd());
+      usable_candidates(iowa, small_scenario().catalog(), epoch_jd());
   EXPECT_LE(usable.size(), all.size());
   for (const Candidate& c : usable) {
     EXPECT_TRUE(c.usable());
