@@ -204,7 +204,6 @@ CampaignData run_campaign(const Scenario& scenario,
       slot_ids.size(), kMinSlotsPerChunk,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t k = begin; k < end; ++k) {
-          if (config.cancel != nullptr) config.cancel->check();
           SlotWork& work = per_slot[k];
           const time::SlotIndex s = slot_ids[k];
           const time::JulianDate jd =

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/scenario.hpp"
-#include "exec/cancel.hpp"
 #include "obs/run_report.hpp"
 
 namespace starlab::core {
@@ -149,10 +148,6 @@ struct CampaignConfig {
   /// grid of the degradation ladder. Skipped records are simply absent from
   /// the output (the shard runner emits flagged gap rows for them).
   std::size_t record_step = 1;
-
-  /// Cooperative cancellation, polled once per slot (non-owning; the
-  /// supervisor's deadline watchdog). nullptr: never cancelled.
-  const exec::CancelToken* cancel = nullptr;
 };
 
 /// The observation of terminal `terminal_index` in `slot`: the slot

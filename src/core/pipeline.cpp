@@ -108,10 +108,8 @@ InferencePipeline::recover_geometry_via_fill(const Scenario& scenario,
 }
 
 PipelineResult InferencePipeline::run(std::size_t terminal_index,
-                                      double duration_sec,
-                                      const exec::CancelToken* cancel) const {
+                                      double duration_sec) const {
   const obs::ObsSpan run_span("pipeline.run");
-  if (cancel == nullptr) cancel = config_.cancel;
   const bool timed = obs::enabled();
 
   PipelineResult result;
@@ -150,7 +148,6 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
   std::optional<obsmap::ObstructionMap> prev_frame;
   std::size_t polls_missed_since_prev = 0;
   for (time::SlotIndex s = first; s < first + num_slots; ++s) {
-    if (cancel != nullptr) cancel->check();
     // Scheduled terminal reset: wipes the frame, so the following slot has
     // no previous frame to XOR against and is skipped (as in the paper).
     if (slots_per_reset > 0 && (s - first) % slots_per_reset == 0 && s != first) {

@@ -83,9 +83,6 @@ struct PipelineConfig {
   /// pipeline applies the obstruction-map frame injector (dropped polls,
   /// bit flips) to what it observes — never to the dish's true state.
   std::optional<fault::FaultPlan> faults;
-  /// Cooperative cancellation, polled once per slot (non-owning). A
-  /// per-run token passed to run() overrides this one.
-  const exec::CancelToken* cancel = nullptr;
 };
 
 class InferencePipeline {
@@ -93,12 +90,10 @@ class InferencePipeline {
   InferencePipeline(const Scenario& scenario, PipelineConfig config = {});
 
   /// Run the identification pipeline for `terminal_index` over
-  /// `duration_sec` starting at the scenario epoch. `cancel` (non-owning,
-  /// may be null) overrides the config's token for this run — the
-  /// resilience supervisor's per-attempt watchdog.
-  [[nodiscard]] PipelineResult run(
-      std::size_t terminal_index, double duration_sec,
-      const exec::CancelToken* cancel = nullptr) const;
+  /// `duration_sec` starting at the scenario epoch. A run covers the whole
+  /// window or throws; nothing interrupts it part-way.
+  [[nodiscard]] PipelineResult run(std::size_t terminal_index,
+                                   double duration_sec) const;
 
   /// The paper's actual §5 data path: a campaign whose "chosen" column comes
   /// from obstruction-map identification, not from the oracle. Slots where

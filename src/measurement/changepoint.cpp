@@ -7,6 +7,13 @@ namespace starlab::measurement {
 
 namespace {
 
+// Epoch search: candidate periods [s] and the distance [s] within which a
+// change point fits a grid boundary.
+constexpr double kMinPeriodSec = 5.0;
+constexpr double kMaxPeriodSec = 40.0;
+constexpr double kPeriodStepSec = 0.5;
+constexpr double kToleranceSec = 1.0;
+
 double quantile_of(std::vector<double> v, double q) {
   if (v.empty()) return std::numeric_limits<double>::quiet_NaN();
   auto idx = static_cast<std::size_t>(q * static_cast<double>(v.size()));
@@ -82,24 +89,23 @@ std::vector<ChangePoint> detect_change_points(const RttSeries& series,
   return out;
 }
 
-EpochEstimate estimate_epoch(const std::vector<ChangePoint>& change_points,
-                             const EpochSearchConfig& config) {
+EpochEstimate estimate_epoch(const std::vector<ChangePoint>& change_points) {
   EpochEstimate best;
   if (change_points.size() < 3) return best;
 
   const double span_begin = change_points.front().unix_sec;
   const double span_end = change_points.back().unix_sec;
 
-  for (double period = config.min_period_sec; period <= config.max_period_sec;
-       period += config.period_step_sec) {
+  for (double period = kMinPeriodSec; period <= kMaxPeriodSec;
+       period += kPeriodStepSec) {
     // Scan candidate offsets at half-tolerance resolution.
-    for (double offset = 0.0; offset < period; offset += config.tolerance_sec / 2) {
+    for (double offset = 0.0; offset < period; offset += kToleranceSec / 2) {
       std::size_t matched_changes = 0;
       for (const ChangePoint& c : change_points) {
         double phase = std::fmod(c.unix_sec - offset, period);
         if (phase < 0.0) phase += period;
         const double dist = std::min(phase, period - phase);
-        if (dist <= config.tolerance_sec) ++matched_changes;
+        if (dist <= kToleranceSec) ++matched_changes;
       }
 
       // Precision: how many predicted boundaries in the observed span have a
@@ -111,7 +117,7 @@ EpochEstimate estimate_epoch(const std::vector<ChangePoint>& change_points,
         if (t > span_end) break;
         ++boundaries;
         for (const ChangePoint& c : change_points) {
-          if (std::fabs(c.unix_sec - t) <= config.tolerance_sec) {
+          if (std::fabs(c.unix_sec - t) <= kToleranceSec) {
             ++matched_boundaries;
             break;
           }

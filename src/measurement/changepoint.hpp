@@ -45,18 +45,11 @@ struct EpochEstimate {
   double support = 0.0;      ///< fraction of change points within tolerance
 };
 
-struct EpochSearchConfig {
-  double min_period_sec = 5.0;
-  double max_period_sec = 40.0;
-  double period_step_sec = 0.5;
-  double tolerance_sec = 1.0;  ///< a change point "fits" if within this of grid
-};
-
 /// Recover the scheduling period and phase from detected change points by
-/// maximizing grid support. With the paper's parameters this returns
-/// period == 15 s, offset == 12 s.
+/// maximizing grid support over periods of 5-40 s in 0.5 s steps; a change
+/// point fits the grid when it lies within 1 s of a boundary. With the
+/// paper's parameters this returns period == 15 s, offset == 12 s.
 [[nodiscard]] EpochEstimate estimate_epoch(
-    const std::vector<ChangePoint>& change_points,
-    const EpochSearchConfig& config = {});
+    const std::vector<ChangePoint>& change_points);
 
 }  // namespace starlab::measurement

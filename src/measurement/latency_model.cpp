@@ -11,6 +11,9 @@ namespace starlab::measurement {
 
 namespace {
 
+/// Seed of the per-probe jitter and loss draws.
+constexpr std::uint64_t kSeed = 13;
+
 std::uint64_t terminal_key(const ground::Terminal& t) {
   return std::hash<std::string>{}(t.name());
 }
@@ -45,11 +48,11 @@ double LatencyModel::rtt_ms(const ground::Terminal& terminal,
   const double mac = mac_.queuing_delay_ms(
       allocation.norad_id, terminal_key(terminal), allocation.slot, probe_seq);
   const double noise =
-      config_.jitter_sigma_ms *
-      gaussian(scheduler::mix_keys(seed_, terminal_key(terminal),
+      kJitterSigmaMs *
+      gaussian(scheduler::mix_keys(kSeed, terminal_key(terminal),
                                    static_cast<std::uint64_t>(allocation.slot),
                                    probe_seq));
-  return prop + mac + config_.ground_processing_ms + noise;
+  return prop + mac + kGroundProcessingMs + noise;
 }
 
 bool LatencyModel::lost(const ground::Terminal& terminal,
@@ -61,10 +64,9 @@ bool LatencyModel::lost(const ground::Terminal& terminal,
       std::clamp((allocation.look.elevation_deg - terminal.min_elevation().value()) /
                      (90.0 - terminal.min_elevation().value()),
                  0.0, 1.0);
-  const double p = config_.base_loss_rate +
-                   config_.low_elevation_loss_boost * (1.0 - el_norm);
+  const double p = kBaseLossRate + kLowElevationLossBoost * (1.0 - el_norm);
   const double u = scheduler::uniform01(scheduler::mix_keys(
-      seed_ ^ 0x105705ULL, terminal_key(terminal),
+      kSeed ^ 0x105705ULL, terminal_key(terminal),
       static_cast<std::uint64_t>(allocation.slot), probe_seq));
   return u < p;
 }

@@ -24,19 +24,20 @@
 
 namespace starlab::measurement {
 
-struct LatencyConfig {
-  double ground_processing_ms = 10.0;  ///< GS<->PoP backhaul + server turn
-  double jitter_sigma_ms = 0.25;       ///< Gaussian RF/timestamping noise
-  double base_loss_rate = 0.004;       ///< packet loss floor
-  double low_elevation_loss_boost = 0.03;  ///< extra loss at the 25 deg floor
-};
+/// GS<->PoP backhaul + server turn [ms].
+inline constexpr double kGroundProcessingMs = 10.0;
+/// Gaussian RF/timestamping noise, one sigma [ms].
+inline constexpr double kJitterSigmaMs = 0.25;
+/// Packet loss floor.
+inline constexpr double kBaseLossRate = 0.004;
+/// Extra loss probability at the 25 deg elevation floor.
+inline constexpr double kLowElevationLossBoost = 0.03;
 
 class LatencyModel {
  public:
   LatencyModel(const constellation::Catalog& catalog,
-               const scheduler::MacScheduler& mac, LatencyConfig config = {},
-               std::uint64_t seed = 13)
-      : catalog_(catalog), mac_(mac), config_(config), seed_(seed) {}
+               const scheduler::MacScheduler& mac)
+      : catalog_(catalog), mac_(mac) {}
 
   /// RTT [ms] of the `probe_seq`-th probe sent at `unix_sec` from
   /// `terminal` through the satellite in `allocation`.
@@ -56,13 +57,9 @@ class LatencyModel {
                                       const scheduler::Allocation& allocation,
                                       double unix_sec) const;
 
-  [[nodiscard]] const LatencyConfig& config() const { return config_; }
-
  private:
   const constellation::Catalog& catalog_;
   const scheduler::MacScheduler& mac_;
-  LatencyConfig config_;
-  std::uint64_t seed_;
 };
 
 }  // namespace starlab::measurement

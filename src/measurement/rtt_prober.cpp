@@ -26,7 +26,6 @@ RttSeries RttProber::run(const ground::Terminal& terminal, double start_unix,
                          double end_unix) const {
   RttSeries series;
   series.terminal = terminal.name();
-  series.interval_ms = config_.interval_ms;
 
   const time::SlotGrid& grid = global_.grid();
 
@@ -38,7 +37,7 @@ RttSeries RttProber::run(const ground::Terminal& terminal, double start_unix,
 
   // Integer probe index avoids floating-point drift in both the timestamps
   // and the sample count.
-  const double step = config_.interval_ms / 1000.0;
+  const double step = kProbeIntervalMs / 1000.0;
   const auto num_probes = static_cast<std::uint64_t>(
       std::ceil((end_unix - start_unix) / step - 1e-9));
   for (std::uint64_t probe_seq = 0; probe_seq < num_probes; ++probe_seq) {

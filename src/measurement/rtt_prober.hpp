@@ -15,6 +15,9 @@
 
 namespace starlab::measurement {
 
+/// Probe spacing [ms]: 1 probe / 20 ms, like the paper's iRTT runs.
+inline constexpr double kProbeIntervalMs = 20.0;
+
 /// One probe result.
 struct RttSample {
   double unix_sec = 0.0;
@@ -26,7 +29,7 @@ struct RttSample {
 /// A probe series plus the context needed to interpret it.
 struct RttSeries {
   std::string terminal;
-  double interval_ms = 20.0;
+  double interval_ms = kProbeIntervalMs;
   std::vector<RttSample> samples;
 
   /// Received (non-lost) samples only. An empty series yields an empty
@@ -38,15 +41,10 @@ struct RttSeries {
   [[nodiscard]] double loss_rate() const;
 };
 
-struct ProberConfig {
-  double interval_ms = 20.0;  ///< 1 probe / 20 ms, like the paper's iRTT runs
-};
-
 class RttProber {
  public:
-  RttProber(const scheduler::GlobalScheduler& global, const LatencyModel& model,
-            ProberConfig config = {})
-      : global_(global), model_(model), config_(config) {}
+  RttProber(const scheduler::GlobalScheduler& global, const LatencyModel& model)
+      : global_(global), model_(model) {}
 
   /// Probe `terminal` continuously over [start_unix, end_unix).
   [[nodiscard]] RttSeries run(const ground::Terminal& terminal,
@@ -55,7 +53,6 @@ class RttProber {
  private:
   const scheduler::GlobalScheduler& global_;
   const LatencyModel& model_;
-  ProberConfig config_;
 };
 
 }  // namespace starlab::measurement

@@ -70,8 +70,7 @@ std::vector<core::SlotObs> gap_rows(const core::Scenario& scenario,
 /// computes nothing. `shed` counts the records degraded to gaps.
 std::vector<core::SlotObs> compute_shard_rows(
     const core::Scenario& scenario, const core::CampaignConfig& config,
-    std::size_t begin, std::size_t end, DegradeLevel level,
-    const exec::CancelToken& token, std::size_t* shed) {
+    std::size_t begin, std::size_t end, DegradeLevel level, std::size_t* shed) {
   if (level >= DegradeLevel::kAbstain) {
     *shed += end - begin;
     return gap_rows(scenario, config, begin, end, core::quality::kShedSlot);
@@ -81,7 +80,6 @@ std::vector<core::SlotObs> compute_shard_rows(
   sub.record_begin = begin;
   sub.record_end = end;
   sub.record_step = level >= DegradeLevel::kWidenGrid ? 2 : 1;
-  sub.cancel = &token;
   core::CampaignData part = core::run_campaign(scenario, sub);
   if (sub.record_step == 1) return std::move(part.slots);
 
@@ -114,7 +112,7 @@ DurableCampaignResult run_campaign_durable(const core::Scenario& scenario,
                                            const DurableCampaignConfig& durable) {
   const obs::ObsSpan span("resilience.run_campaign_durable");
   if (config.record_begin != 0 || config.record_end != 0 ||
-      config.record_step != 1 || config.cancel != nullptr) {
+      config.record_step != 1) {
     throw std::invalid_argument(
         "run_campaign_durable owns the campaign slice fields; pass them at "
         "their defaults");
@@ -213,10 +211,9 @@ DurableCampaignResult run_campaign_durable(const core::Scenario& scenario,
     std::size_t shed = 0;
     const TaskOutcome outcome = supervisor.run(
         static_cast<std::uint64_t>(shard),
-        [&](const exec::CancelToken& token, DegradeLevel level) {
+        [&](DegradeLevel level) {
           shed = 0;
-          rows = compute_shard_rows(scenario, config, begin, end, level, token,
-                                    &shed);
+          rows = compute_shard_rows(scenario, config, begin, end, level, &shed);
         });
     if (!outcome.ok) {
       // Quarantined: the shard's records become flagged gaps. They are
@@ -314,9 +311,7 @@ core::CampaignData run_inferred_campaign_supervised(
     core::PipelineResult inferred;
     const TaskOutcome outcome = supervisor.run(
         static_cast<std::uint64_t>(ti),
-        [&](const exec::CancelToken& token, DegradeLevel) {
-          inferred = pipeline.run(ti, duration_sec, &token);
-        });
+        [&](DegradeLevel) { inferred = pipeline.run(ti, duration_sec); });
     if (!outcome.ok) continue;  // quarantined terminal: no rows, logged above
     // absorb() sums values; means need decided-slot weighting instead.
     confidence_weighted += inferred.report.value_or("mean_confidence", 0.0) *

@@ -3,8 +3,8 @@
 // Crash-safe campaign execution: checkpoint/resume + supervised shards.
 //
 // run_campaign_durable partitions a campaign's recorded slots into shards,
-// runs each shard as a supervised task on the exec pool (retry, deadline,
-// quarantine, degradation — see resilience/supervisor.hpp), and appends
+// runs each shard as a supervised task on the exec pool (retry, quarantine,
+// degradation — see resilience/supervisor.hpp), and appends
 // every finished shard to a CRC-guarded journal (io/journal_io.hpp). A run
 // killed at ANY byte offset of that journal resumes by replaying the valid
 // prefix: completed shards come back bit-identical from their hexfloat
@@ -57,8 +57,8 @@ struct DurableCampaignResult {
 };
 
 /// Run `config` durably. `config`'s resilience hook fields (record_begin/
-/// record_end/record_step/cancel) must be at their defaults — the runner
-/// owns them for shard slicing and throws std::invalid_argument otherwise.
+/// record_end/record_step) must be at their defaults — the runner owns them
+/// for shard slicing and throws std::invalid_argument otherwise.
 /// Propagates fault::WriteKilled from the kill-point gate (the simulated
 /// process death) and std::runtime_error on a journal/config mismatch.
 [[nodiscard]] DurableCampaignResult run_campaign_durable(

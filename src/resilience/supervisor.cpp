@@ -1,18 +1,12 @@
 #include "resilience/supervisor.hpp"
 
-#include <chrono>
-#include <thread>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "scheduler/stochastic.hpp"
 
 namespace starlab::resilience {
 
 namespace {
-
-/// Key-domain tag for the backoff jitter hash; disjoint from the fault
-/// injector tags (0xFA01..0xFA08) and the scheduler oracles.
-constexpr std::uint64_t kTagBackoff = 0xFA10;
 
 /// Pre-registered resilience metrics (one-time registration, lock-free).
 struct ResilienceMetrics {
@@ -76,18 +70,6 @@ DegradeLevel Supervisor::level() const {
   return level_for(failures_.load(std::memory_order_relaxed));
 }
 
-double Supervisor::backoff_ms(std::uint64_t task_key, int attempt) const {
-  if (config_.backoff_base_ms <= 0.0 || attempt <= 1) return 0.0;
-  double delay = config_.backoff_base_ms;
-  for (int a = 2; a < attempt; ++a) delay *= 2.0;
-  // Deterministic jitter in [0.5, 1.0]: same (seed, task, attempt) -> same
-  // delay on every replay.
-  const double u = scheduler::uniform01(scheduler::mix_keys(
-      config_.seed, kTagBackoff, task_key, static_cast<std::uint64_t>(attempt)));
-  delay *= 0.5 + 0.5 * u;
-  return delay < config_.backoff_max_ms ? delay : config_.backoff_max_ms;
-}
-
 std::vector<std::string> Supervisor::events() const {
   const check::MutexLock lock(mu_);
   return events_;
@@ -124,32 +106,20 @@ void Supervisor::record_failure(std::uint64_t task_key, int attempt,
   }
 }
 
-TaskOutcome Supervisor::run(
-    std::uint64_t task_key,
-    const std::function<void(const exec::CancelToken&, DegradeLevel)>& body) {
+TaskOutcome Supervisor::run(std::uint64_t task_key,
+                             const std::function<void(DegradeLevel)>& body) {
   TaskOutcome out;
   for (int attempt = 1; attempt <= config_.max_attempts; ++attempt) {
     out.attempts = attempt;
-    if (attempt > 1) {
-      const double delay = backoff_ms(task_key, attempt);
-      if (delay > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(delay));
-      }
-    }
-    exec::CancelToken token;
-    token.arm_deadline_in(config_.task_deadline_sec);
     const DegradeLevel at_start = level();
     try {
       if (injector_.fails(task_key, attempt)) {
         throw std::runtime_error("injected task fault");
       }
-      body(token, at_start);
+      body(at_start);
       out.ok = true;
       out.error.clear();
       return out;
-    } catch (const exec::TaskCancelled& e) {
-      out.error = std::string("deadline: ") + e.what();
     } catch (const std::exception& e) {
       out.error = e.what();
     }

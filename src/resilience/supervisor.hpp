@@ -1,24 +1,23 @@
 #pragma once
 
-// Supervised task execution: bounded retry, deadline watchdog, quarantine,
-// and a graceful-degradation ladder — the run-forever layer under campaign
-// and pipeline execution.
+// Supervised task execution: bounded retry, quarantine, and a
+// graceful-degradation ladder — the run-forever layer under campaign and
+// pipeline execution.
 //
 // A Supervisor wraps the individual failure-prone units of a long run (slot
 // shards, per-terminal pipeline passes). Each unit gets up to max_attempts
-// tries; between tries the supervisor backs off exponentially with a
-// *deterministic* seeded jitter (counter-based hash of (seed, task,
-// attempt) — no wall-clock randomness, so a replayed run backs off
-// identically), and each attempt runs under a cooperative deadline token.
-// A unit that exhausts its attempts is quarantined: the run continues and
-// the unit degrades to a flagged gap instead of stalling everything.
+// tries, retried immediately: the failures it absorbs are compute-bound (a
+// throwing body or a simulated task fault), so waiting between tries buys
+// nothing. A unit that exhausts its attempts is quarantined: the run
+// continues and the unit degrades to a flagged gap instead of stalling
+// everything.
 //
 // Sustained fault storms move the supervisor down a load-shedding ladder
 // driven by the cumulative failure count:
 //
 //   kNone -> kShedObservability -> kWidenGrid -> kAbstain
 //
-// Shed observability first (stage-timing merges, per-append fsync), then
+// Shed observability first (turn off the journal's per-append fsync), then
 // halve the slot grid (every 2nd record becomes a flagged gap), then stop
 // attempting shards at all. Every decision lands in the event log (and from
 // there in RunReport.events) and in the resilience.* metrics.
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "check/thread_annotations.hpp"
-#include "exec/cancel.hpp"
 #include "fault/injectors.hpp"
 
 namespace starlab::resilience {
@@ -38,7 +36,7 @@ namespace starlab::resilience {
 /// Load-shedding rungs, in shedding order.
 enum class DegradeLevel : int {
   kNone = 0,
-  kShedObservability = 1,  ///< drop trace/stage merges and journal fsync
+  kShedObservability = 1,  ///< turn off the journal's per-append fsync
   kWidenGrid = 2,          ///< compute every 2nd record, flag the rest
   kAbstain = 3,            ///< stop attempting; everything becomes a gap
 };
@@ -48,15 +46,6 @@ enum class DegradeLevel : int {
 struct SupervisorConfig {
   /// Attempts per task before quarantine (>= 1).
   int max_attempts = 3;
-  /// Per-attempt watchdog deadline [s]; <= 0 disables the watchdog.
-  double task_deadline_sec = 0.0;
-  /// Base backoff before attempt 2 [ms]; doubles per further attempt, with
-  /// deterministic jitter in [0.5, 1.0]. 0 retries immediately (the right
-  /// default for compute-bound simulated faults).
-  double backoff_base_ms = 0.0;
-  double backoff_max_ms = 2000.0;
-  /// Seed for the backoff jitter hash (independent of the fault plan seed).
-  std::uint64_t seed = 2311;
 
   /// Cumulative failed attempts that trip each ladder rung; <= 0 disables
   /// the rung. Thresholds should be non-decreasing.
@@ -90,13 +79,12 @@ class Supervisor {
   explicit Supervisor(SupervisorConfig config);
 
   /// Run `body` under supervision. `task_key` identifies the unit (shard or
-  /// terminal index) for fault injection, backoff jitter and the event log.
-  /// The body receives the attempt's armed cancel token — poll it — and the
-  /// degradation level in force when the attempt started. Thread-safe: the
-  /// shard runner calls this concurrently from the exec pool.
-  TaskOutcome run(
-      std::uint64_t task_key,
-      const std::function<void(const exec::CancelToken&, DegradeLevel)>& body);
+  /// terminal index) for fault injection and the event log. The body
+  /// receives the degradation level in force when the attempt started.
+  /// Thread-safe: the shard runner calls this concurrently from the exec
+  /// pool.
+  TaskOutcome run(std::uint64_t task_key,
+                  const std::function<void(DegradeLevel)>& body);
 
   /// Current ladder rung (monotone non-decreasing over a supervisor's life).
   [[nodiscard]] DegradeLevel level() const;
@@ -110,10 +98,6 @@ class Supervisor {
   [[nodiscard]] std::uint64_t quarantined() const {
     return quarantined_.load(std::memory_order_relaxed);
   }
-
-  /// Deterministic backoff delay before `attempt` (2-based) of `task_key`,
-  /// in milliseconds. Exposed for tests; run() sleeps this exact amount.
-  [[nodiscard]] double backoff_ms(std::uint64_t task_key, int attempt) const;
 
   /// Chronological decision log (copies under the lock).
   [[nodiscard]] std::vector<std::string> events() const EXCLUDES(mu_);

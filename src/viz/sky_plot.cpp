@@ -6,9 +6,15 @@
 
 namespace starlab::viz {
 
-std::string render_sky(const std::vector<SkyMark>& marks,
-                       const SkyPlotConfig& config) {
-  const int r = config.radius_chars;
+namespace {
+
+constexpr int kRadiusChars = 20;           ///< plot radius in character cells
+constexpr double kRimElevationDeg = 25.0;  ///< elevation at the rim
+
+}  // namespace
+
+std::string render_sky(const std::vector<SkyMark>& marks) {
+  const int r = kRadiusChars;
   const int height = 2 * r + 1;
   // Terminal cells are ~2x taller than wide: double the horizontal scale so
   // the plot renders round.
@@ -30,9 +36,9 @@ std::string render_sky(const std::vector<SkyMark>& marks,
   }
 
   // Marks.
-  const double span = 90.0 - config.rim_elevation_deg;
+  const double span = 90.0 - kRimElevationDeg;
   for (const SkyMark& m : marks) {
-    if (m.elevation_deg < config.rim_elevation_deg) continue;
+    if (m.elevation_deg < kRimElevationDeg) continue;
     const double rho = (90.0 - m.elevation_deg) / span;  // 0 centre, 1 rim
     const double a = geo::deg_to_rad(m.azimuth_deg);
     const int x = static_cast<int>(std::lround(cx + 2.0 * r * rho * std::sin(a)));
@@ -42,12 +48,10 @@ std::string render_sky(const std::vector<SkyMark>& marks,
     }
   }
 
-  if (config.compass_labels) {
-    grid[0][static_cast<std::size_t>(cx)] = 'N';
-    grid[static_cast<std::size_t>(height - 1)][static_cast<std::size_t>(cx)] = 'S';
-    grid[static_cast<std::size_t>(cy)][static_cast<std::size_t>(width - 1)] = 'E';
-    grid[static_cast<std::size_t>(cy)][0] = 'W';
-  }
+  grid[0][static_cast<std::size_t>(cx)] = 'N';
+  grid[static_cast<std::size_t>(height - 1)][static_cast<std::size_t>(cx)] = 'S';
+  grid[static_cast<std::size_t>(cy)][static_cast<std::size_t>(width - 1)] = 'E';
+  grid[static_cast<std::size_t>(cy)][0] = 'W';
 
   std::string out;
   for (const std::string& row : grid) {

@@ -2,9 +2,9 @@
 
 // Terminal-centric sky plots: an ASCII polar rendering of the field of view
 // (the same projection as the obstruction maps — north up, azimuth
-// clockwise, elevation radial from 90 deg at the centre to a configurable
-// rim). Used by the examples to show candidates, picks, the GSO arc and
-// obstruction masks at a glance.
+// clockwise, elevation radial from 90 deg at the centre to the 25 deg
+// hardware field-of-view rim, N/E/S/W labelled). Used by the examples to
+// show candidates, picks, the GSO arc and obstruction masks at a glance.
 
 #include <string>
 #include <vector>
@@ -18,16 +18,9 @@ struct SkyMark {
   char symbol = '*';
 };
 
-struct SkyPlotConfig {
-  int radius_chars = 20;        ///< plot radius in character cells
-  double rim_elevation_deg = 25.0;  ///< elevation at the rim (hardware FoV)
-  bool compass_labels = true;   ///< print N/E/S/W at the rim
-};
-
 /// Render marks onto a polar sky plot. Later marks overwrite earlier ones on
 /// collisions (so draw the important ones last). Marks below the rim
 /// elevation are dropped.
-[[nodiscard]] std::string render_sky(const std::vector<SkyMark>& marks,
-                                     const SkyPlotConfig& config = {});
+[[nodiscard]] std::string render_sky(const std::vector<SkyMark>& marks);
 
 }  // namespace starlab::viz

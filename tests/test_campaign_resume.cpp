@@ -396,5 +396,27 @@ TEST(CampaignResume, SupervisedInferredCampaignQuarantinesFaultyTerminals) {
   EXPECT_FALSE(data.report.events.empty());
 }
 
+TEST(CampaignResume, SupervisedInferredCampaignAbstainsAtTheTopRung) {
+  const core::InferencePipeline pipeline(tiny_scenario());
+  SupervisorConfig sup;
+  sup.initial_failures = static_cast<std::uint64_t>(sup.abstain_failures);
+  const core::CampaignData data =
+      run_inferred_campaign_supervised(pipeline, 120.0, sup);
+  // Every terminal is skipped before its first attempt.
+  EXPECT_TRUE(data.slots.empty());
+  EXPECT_EQ(data.report.slots, 0u);
+  EXPECT_EQ(data.report.value_or("resilience.retries", -1.0), 0.0);
+  EXPECT_EQ(data.report.value_or("resilience.quarantined", -1.0), 0.0);
+  // One abstain event per terminal, in terminal order, and nothing else:
+  // a rung already tripped by initial_failures is not re-announced.
+  const std::size_t terminals = tiny_scenario().terminals().size();
+  ASSERT_GT(terminals, 1u);
+  ASSERT_EQ(data.report.events.size(), terminals);
+  for (std::size_t ti = 0; ti < terminals; ++ti) {
+    EXPECT_EQ(data.report.events[ti],
+              "abstain terminal=" + std::to_string(ti) + ": load shed");
+  }
+}
+
 }  // namespace
 }  // namespace starlab::resilience

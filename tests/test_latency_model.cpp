@@ -42,7 +42,7 @@ TEST_F(LatencyModelTest, RttIncludesGroundProcessing) {
       model_.rtt_ms(small_scenario().terminal(0), alloc, t, 0);
   const double prop =
       model_.propagation_ms(small_scenario().terminal(0), alloc, t);
-  EXPECT_GT(rtt, prop + model_.config().ground_processing_ms - 2.0);
+  EXPECT_GT(rtt, prop + kGroundProcessingMs - 2.0);
   // Paper Fig 2 range: ~20-70 ms.
   EXPECT_GT(rtt, 15.0);
   EXPECT_LT(rtt, 80.0);

@@ -2,30 +2,20 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cmath>
 #include <stdexcept>
 #include <thread>
 
 namespace starlab::resilience {
 namespace {
 
-SupervisorConfig quiet_config() {
-  SupervisorConfig config;
-  config.backoff_base_ms = 0.0;  // no sleeping in unit tests
-  return config;
-}
-
 TEST(Supervisor, CleanBodyRunsOnce) {
-  Supervisor sup(quiet_config());
+  Supervisor sup(SupervisorConfig{});
   int calls = 0;
-  const TaskOutcome out =
-      sup.run(7, [&](const exec::CancelToken&, DegradeLevel level) {
-        ++calls;
-        EXPECT_EQ(level, DegradeLevel::kNone);
-      });
+  const TaskOutcome out = sup.run(7, [&](DegradeLevel level) {
+    ++calls;
+    EXPECT_EQ(level, DegradeLevel::kNone);
+  });
   EXPECT_TRUE(out.ok);
   EXPECT_FALSE(out.quarantined);
   EXPECT_EQ(out.attempts, 1);
@@ -36,12 +26,11 @@ TEST(Supervisor, CleanBodyRunsOnce) {
 }
 
 TEST(Supervisor, FlakyBodyIsRetriedUntilItSucceeds) {
-  Supervisor sup(quiet_config());
+  Supervisor sup(SupervisorConfig{});
   int calls = 0;
-  const TaskOutcome out =
-      sup.run(3, [&](const exec::CancelToken&, DegradeLevel) {
-        if (++calls < 3) throw std::runtime_error("transient");
-      });
+  const TaskOutcome out = sup.run(3, [&](DegradeLevel) {
+    if (++calls < 3) throw std::runtime_error("transient");
+  });
   EXPECT_TRUE(out.ok);
   EXPECT_EQ(out.attempts, 3);
   EXPECT_EQ(sup.failures(), 2u);
@@ -53,13 +42,12 @@ TEST(Supervisor, FlakyBodyIsRetriedUntilItSucceeds) {
 }
 
 TEST(Supervisor, ExhaustedAttemptsQuarantine) {
-  Supervisor sup(quiet_config());
+  Supervisor sup(SupervisorConfig{});
   int calls = 0;
-  const TaskOutcome out =
-      sup.run(9, [&](const exec::CancelToken&, DegradeLevel) {
-        ++calls;
-        throw std::runtime_error("permanent");
-      });
+  const TaskOutcome out = sup.run(9, [&](DegradeLevel) {
+    ++calls;
+    throw std::runtime_error("permanent");
+  });
   EXPECT_FALSE(out.ok);
   EXPECT_TRUE(out.quarantined);
   EXPECT_EQ(calls, sup.config().max_attempts);
@@ -70,57 +58,15 @@ TEST(Supervisor, ExhaustedAttemptsQuarantine) {
   EXPECT_NE(events.back().find("quarantine task=9"), std::string::npos);
 }
 
-TEST(Supervisor, DeadlineWatchdogCancelsARunawayBody) {
-  SupervisorConfig config = quiet_config();
-  config.max_attempts = 2;
-  config.task_deadline_sec = 0.02;
-  Supervisor sup(config);
-  const TaskOutcome out =
-      sup.run(1, [&](const exec::CancelToken& token, DegradeLevel) {
-        // A runaway loop that only stops when the watchdog fires.
-        for (;;) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          token.check();
-        }
-      });
-  EXPECT_FALSE(out.ok);
-  EXPECT_TRUE(out.quarantined);
-  EXPECT_NE(out.error.find("deadline"), std::string::npos);
-}
-
-TEST(Supervisor, BackoffIsDeterministicBoundedAndExponential) {
-  SupervisorConfig config = quiet_config();
-  config.backoff_base_ms = 8.0;
-  config.backoff_max_ms = 100.0;
-  Supervisor sup(config);
-  Supervisor twin(config);
-  EXPECT_EQ(sup.backoff_ms(5, 1), 0.0);  // first attempt never waits
-  double prev = 0.0;
-  for (int attempt = 2; attempt <= 8; ++attempt) {
-    const double delay = sup.backoff_ms(5, attempt);
-    // Deterministic: a replayed supervisor backs off identically.
-    EXPECT_EQ(delay, twin.backoff_ms(5, attempt));
-    // Jitter keeps each delay within [base/2 * 2^(a-2), base * 2^(a-2)],
-    // clamped to the max.
-    const double nominal = 8.0 * std::pow(2.0, attempt - 2);
-    EXPECT_LE(delay, std::min(nominal, 100.0));
-    EXPECT_GE(delay, std::min(nominal * 0.5, 100.0) * 0.999);
-    EXPECT_GE(delay, prev * 0.5);  // grows apart from jitter/clamp wiggle
-    prev = delay;
-  }
-  // Different tasks and seeds jitter differently.
-  EXPECT_NE(sup.backoff_ms(5, 3), sup.backoff_ms(6, 3));
-}
-
 TEST(Supervisor, LadderClimbsWithCumulativeFailures) {
-  SupervisorConfig config = quiet_config();
+  SupervisorConfig config;
   config.max_attempts = 1;  // every failed task is one failure
   config.shed_obs_failures = 2;
   config.widen_grid_failures = 4;
   config.abstain_failures = 6;
   Supervisor sup(config);
   const auto fail_once = [&](std::uint64_t task) {
-    (void)sup.run(task, [](const exec::CancelToken&, DegradeLevel) {
+    (void)sup.run(task, [](DegradeLevel) {
       throw std::runtime_error("boom");
     });
   };
@@ -144,14 +90,14 @@ TEST(Supervisor, LadderClimbsWithCumulativeFailures) {
 }
 
 TEST(Supervisor, DisabledRungsNeverTrip) {
-  SupervisorConfig config = quiet_config();
+  SupervisorConfig config;
   config.max_attempts = 1;
   config.shed_obs_failures = 0;
   config.widen_grid_failures = 0;
   config.abstain_failures = 0;
   Supervisor sup(config);
   for (std::uint64_t t = 0; t < 50; ++t) {
-    (void)sup.run(t, [](const exec::CancelToken&, DegradeLevel) {
+    (void)sup.run(t, [](DegradeLevel) {
       throw std::runtime_error("boom");
     });
   }
@@ -159,31 +105,28 @@ TEST(Supervisor, DisabledRungsNeverTrip) {
 }
 
 TEST(Supervisor, InjectedTaskFaultsFollowThePlanDeterministically) {
-  SupervisorConfig config = quiet_config();
+  SupervisorConfig config;
   config.faults.intensity = 1.0;
   config.faults.exec.task_fail_rate = 1.0;  // every attempt faults
   config.max_attempts = 2;
   Supervisor sup(config);
   int calls = 0;
-  const TaskOutcome out =
-      sup.run(0, [&](const exec::CancelToken&, DegradeLevel) { ++calls; });
+  const TaskOutcome out = sup.run(0, [&](DegradeLevel) { ++calls; });
   EXPECT_FALSE(out.ok);
   EXPECT_EQ(calls, 0);  // the injector fires before the body
   EXPECT_NE(out.error.find("injected task fault"), std::string::npos);
 
   // Zero intensity is the no-op guarantee: no faults, no retries.
-  SupervisorConfig clean = quiet_config();
+  SupervisorConfig clean;
   clean.faults.intensity = 0.0;
   clean.faults.exec.task_fail_rate = 1.0;
   Supervisor quiet(clean);
-  EXPECT_TRUE(quiet
-                  .run(0, [](const exec::CancelToken&, DegradeLevel) {})
-                  .ok);
+  EXPECT_TRUE(quiet.run(0, [](DegradeLevel) {}).ok);
   EXPECT_EQ(quiet.failures(), 0u);
 }
 
 TEST(Supervisor, ConcurrentTasksKeepConsistentCounts) {
-  SupervisorConfig config = quiet_config();
+  SupervisorConfig config;
   config.max_attempts = 2;
   Supervisor sup(config);
   std::atomic<int> succeeded{0};
@@ -192,10 +135,9 @@ TEST(Supervisor, ConcurrentTasksKeepConsistentCounts) {
     threads.emplace_back([&, t] {
       for (std::uint64_t k = 0; k < 16; ++k) {
         const std::uint64_t task = static_cast<std::uint64_t>(t) * 100 + k;
-        const TaskOutcome out =
-            sup.run(task, [&](const exec::CancelToken&, DegradeLevel) {
-              if (task % 2 == 0) throw std::runtime_error("even tasks fail");
-            });
+        const TaskOutcome out = sup.run(task, [&](DegradeLevel) {
+          if (task % 2 == 0) throw std::runtime_error("even tasks fail");
+        });
         if (out.ok) succeeded.fetch_add(1);
       }
     });
