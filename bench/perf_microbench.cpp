@@ -1,12 +1,14 @@
 // google-benchmark microbenchmarks for the hot paths: SGP4 propagation, the
-// whole-sky visibility query, DTW matching, forest inference, obstruction-map
-// XOR and the Mann-Whitney test. These bound the cost of scaling campaigns
+// whole-sky visibility query, DTW matching, one slot's satellite
+// identification, forest inference, obstruction-map XOR and the
+// Mann-Whitney test. These bound the cost of scaling campaigns
 // to longer durations and denser constellations. Besides the console table,
 // per-section ns/op land in BENCH_perf.json (one RunReport line, git SHA
 // stamped) so regressions are diffable across commits.
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -168,6 +170,42 @@ void BM_DtwDistance(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_DtwDistance)->Arg(15)->Arg(60)->Arg(240);
+
+void IdentifySlot(benchmark::State& state, const core::Scenario& s) {
+  // One slot's §4 identification against the full catalog: the candidate
+  // query, the lower-bound ordering, and path sampling plus both DTW
+  // traversals for the candidates the bound cannot rule out. The isolated
+  // frame is the serving satellite's painted trajectory for the first slot
+  // with an allocation.
+  const ground::Terminal& terminal = s.terminal(0);
+  const time::SlotGrid& grid = s.grid();
+  time::SlotIndex slot = s.first_slot();
+  std::optional<scheduler::Allocation> serving =
+      s.global_scheduler().allocate(terminal, slot);
+  while (!serving.has_value()) {
+    serving = s.global_scheduler().allocate(terminal, ++slot);
+  }
+  obsmap::ObstructionMap isolated;
+  obsmap::TrajectoryPainter().paint(s.catalog(), serving->catalog_index,
+                                    terminal, grid.slot_start(slot),
+                                    grid.slot_end(slot), isolated);
+  const match::SatelliteIdentifier identifier(s.catalog(),
+                                              obsmap::MapGeometry{}, grid);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        identifier.identify_isolated(terminal, slot, isolated));
+  }
+}
+
+void BM_IdentifySlot(benchmark::State& state) {
+  IdentifySlot(state, bench::full_scenario());
+}
+BENCHMARK(BM_IdentifySlot);
+
+void BM_IdentifySlotGen2(benchmark::State& state) {
+  IdentifySlot(state, bench::gen2_scenario());
+}
+BENCHMARK(BM_IdentifySlotGen2)->Name("BM_IdentifySlot/gen2");
 
 void BM_ObstructionMapXor(benchmark::State& state) {
   obsmap::ObstructionMap a, b;

@@ -141,13 +141,11 @@ std::vector<Catalog::Snapshot> Catalog::propagate_all_batch(
 static constexpr double kCullRangeKm = 3000.0;
 
 bool Catalog::sky_entry_from_snapshot(std::size_t i, const Snapshot& snap,
-                                      const geo::Geodetic& observer,
-                                      const geo::EcefKm& obs_ecef,
-                                      double unix_sec,
-                                      geo::Deg min_elevation,
+                                      const geo::ObserverFrame& observer,
+                                      double unix_sec, geo::Deg min_elevation,
                                       SkyEntry& e) const {
   if (!snap.valid) return false;
-  if ((snap.ecef_km - obs_ecef).norm() > kCullRangeKm) return false;
+  if ((snap.ecef_km - observer.ecef_km).norm() > kCullRangeKm) return false;
 
   const geo::LookAngles look = geo::look_angles(observer, snap.ecef_km);
   if (look.elevation_deg < min_elevation.value()) return false;
@@ -161,8 +159,7 @@ bool Catalog::sky_entry_from_snapshot(std::size_t i, const Snapshot& snap,
   return true;
 }
 
-bool Catalog::sky_entry_at(std::size_t i, const geo::Geodetic& observer,
-                           const geo::EcefKm& obs_ecef,
+bool Catalog::sky_entry_at(std::size_t i, const geo::ObserverFrame& observer,
                            const time::JulianDate& jd, double unix_sec,
                            geo::Deg min_elevation, SkyEntry& e) const {
   sgp4::StateVector st;
@@ -173,7 +170,7 @@ bool Catalog::sky_entry_at(std::size_t i, const geo::Geodetic& observer,
   }
   const geo::TemeKm teme(st.position_km);
   const geo::EcefKm ecef = geo::teme_to_ecef(teme, jd);
-  if ((ecef - obs_ecef).norm() > kCullRangeKm) return false;
+  if ((ecef - observer.ecef_km).norm() > kCullRangeKm) return false;
 
   const geo::LookAngles look = geo::look_angles(observer, ecef);
   if (look.elevation_deg < min_elevation.value()) return false;
@@ -197,15 +194,15 @@ std::vector<SkyEntry> Catalog::visible_from_snapshots(
   }
   std::vector<SkyEntry> out;
   const double unix_sec = jd.to_unix_seconds();
-  const geo::EcefKm obs_ecef = geo::geodetic_to_ecef(observer);
+  const geo::ObserverFrame frame(observer);
   // The index returns a superset of the visible set in ascending catalog
   // order, so re-running the exact check yields the same entries in the
   // same order as the exhaustive scan.
   SkyEntry e;
   for (const std::uint32_t i : cand) {
     if (i >= snapshots.size()) break;
-    if (sky_entry_from_snapshot(i, snapshots[i], observer, obs_ecef, unix_sec,
-                                min_elevation, e)) {
+    if (sky_entry_from_snapshot(i, snapshots[i], frame, unix_sec, min_elevation,
+                                e)) {
       out.push_back(e);
     }
   }
@@ -217,12 +214,12 @@ std::vector<SkyEntry> Catalog::visible_from_snapshots_scan(
     const time::JulianDate& jd, geo::Deg min_elevation) const {
   std::vector<SkyEntry> out;
   const double unix_sec = jd.to_unix_seconds();
-  const geo::EcefKm obs_ecef = geo::geodetic_to_ecef(observer);
+  const geo::ObserverFrame frame(observer);
 
   SkyEntry e;
   for (std::size_t i = 0; i < records_.size() && i < snapshots.size(); ++i) {
-    if (sky_entry_from_snapshot(i, snapshots[i], observer, obs_ecef, unix_sec,
-                                min_elevation, e)) {
+    if (sky_entry_from_snapshot(i, snapshots[i], frame, unix_sec, min_elevation,
+                                e)) {
       out.push_back(e);
     }
   }
@@ -238,11 +235,10 @@ std::vector<SkyEntry> Catalog::visible_from(const geo::Geodetic& observer,
   }
   std::vector<SkyEntry> out;
   const double unix_sec = jd.to_unix_seconds();
-  const geo::EcefKm obs_ecef = geo::geodetic_to_ecef(observer);
+  const geo::ObserverFrame frame(observer);
   SkyEntry e;
   for (const std::uint32_t i : cand) {
-    if (sky_entry_at(i, observer, obs_ecef, jd, unix_sec, min_elevation,
-                     e)) {
+    if (sky_entry_at(i, frame, jd, unix_sec, min_elevation, e)) {
       out.push_back(e);
     }
   }
@@ -254,12 +250,11 @@ std::vector<SkyEntry> Catalog::visible_from_scan(
     geo::Deg min_elevation) const {
   std::vector<SkyEntry> out;
   const double unix_sec = jd.to_unix_seconds();
-  const geo::EcefKm obs_ecef = geo::geodetic_to_ecef(observer);
+  const geo::ObserverFrame frame(observer);
 
   SkyEntry e;
   for (std::size_t i = 0; i < records_.size(); ++i) {
-    if (sky_entry_at(i, observer, obs_ecef, jd, unix_sec, min_elevation,
-                     e)) {
+    if (sky_entry_at(i, frame, jd, unix_sec, min_elevation, e)) {
       out.push_back(e);
     }
   }

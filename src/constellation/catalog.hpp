@@ -136,16 +136,15 @@ class Catalog {
   /// The exact per-satellite visibility check shared by the indexed and
   /// exhaustive paths (this sharing is what makes them byte-identical).
   /// Returns true and fills `e` when satellite `i` clears the cut.
-  bool sky_entry_at(std::size_t i, const geo::Geodetic& observer,
-                    const geo::EcefKm& obs_ecef, const time::JulianDate& jd,
-                    double unix_sec, geo::Deg min_elevation,
-                    SkyEntry& e) const;
+  bool sky_entry_at(std::size_t i, const geo::ObserverFrame& observer,
+                    const time::JulianDate& jd, double unix_sec,
+                    geo::Deg min_elevation, SkyEntry& e) const;
 
   /// Snapshot-based variant of sky_entry_at.
   bool sky_entry_from_snapshot(std::size_t i, const Snapshot& snap,
-                               const geo::Geodetic& observer,
-                               const geo::EcefKm& obs_ecef, double unix_sec,
-                               geo::Deg min_elevation, SkyEntry& e) const;
+                               const geo::ObserverFrame& observer,
+                               double unix_sec, geo::Deg min_elevation,
+                               SkyEntry& e) const;
 
   std::vector<SatelliteRecord> records_;
   std::vector<LaunchBatch> launches_;

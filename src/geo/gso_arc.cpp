@@ -44,11 +44,12 @@ GsoArc::GsoArc(const Geodetic& site, Deg step, Deg min_elevation) {
   if (!valid_step) return;  // kLog mode: an empty arc rather than a hang
   // A geostationary satellite sits on the equatorial plane at radius
   // kGsoRadiusKm; in ECEF it is fixed, so the arc can be sampled once.
+  const ObserverFrame observer(site);
   for (double lon = -180.0; lon < 180.0; lon += step.value()) {
     const double lon_rad = deg_to_rad(lon);
     const EcefKm gso_ecef{kGsoRadiusKm * std::cos(lon_rad),
                           kGsoRadiusKm * std::sin(lon_rad), 0.0};
-    const LookAngles la = look_angles(site, gso_ecef);
+    const LookAngles la = look_angles(observer, gso_ecef);
     if (la.elevation() >= min_elevation) {
       samples_.push_back(la);
       directions_.push_back(sky_direction(la.azimuth(), la.elevation()));

@@ -9,27 +9,26 @@
 
 namespace starlab::geo {
 
-namespace {
-
-/// Rotate an ECEF difference vector into the observer's SEZ (south-east-
-/// zenith) frame.
-Vec3 ecef_to_sez(const Geodetic& obs, const Vec3& d) {
-  const double lat = deg_to_rad(obs.latitude_deg);
-  const double lon = deg_to_rad(obs.longitude_deg);
-  const double sin_lat = std::sin(lat), cos_lat = std::cos(lat);
-  const double sin_lon = std::sin(lon), cos_lon = std::cos(lon);
-
-  return {sin_lat * cos_lon * d.x + sin_lat * sin_lon * d.y - cos_lat * d.z,
-          -sin_lon * d.x + cos_lon * d.y,
-          cos_lat * cos_lon * d.x + cos_lat * sin_lon * d.y + sin_lat * d.z};
+ObserverFrame::ObserverFrame(const Geodetic& observer)
+    : ecef_km(geodetic_to_ecef(observer)) {
+  const double lat = deg_to_rad(observer.latitude_deg);
+  const double lon = deg_to_rad(observer.longitude_deg);
+  sin_lat = std::sin(lat);
+  cos_lat = std::cos(lat);
+  sin_lon = std::sin(lon);
+  cos_lon = std::cos(lon);
 }
 
-}  // namespace
-
-STARLAB_HOTPATH LookAngles look_angles(const Geodetic& observer,
+STARLAB_HOTPATH LookAngles look_angles(const ObserverFrame& obs,
                                        const EcefKm& target_ecef_km) {
-  const EcefKm obs_ecef = geodetic_to_ecef(observer);
-  const Vec3 sez = ecef_to_sez(observer, (target_ecef_km - obs_ecef).raw());
+  // Rotate the ECEF difference vector into the observer's SEZ frame.
+  const Vec3 d = (target_ecef_km - obs.ecef_km).raw();
+  const Vec3 sez{
+      obs.sin_lat * obs.cos_lon * d.x + obs.sin_lat * obs.sin_lon * d.y -
+          obs.cos_lat * d.z,
+      -obs.sin_lon * d.x + obs.cos_lon * d.y,
+      obs.cos_lat * obs.cos_lon * d.x + obs.cos_lat * obs.sin_lon * d.y +
+          obs.sin_lat * d.z};
 
   LookAngles out;
   out.range_km = sez.norm();
@@ -45,6 +44,10 @@ STARLAB_HOTPATH LookAngles look_angles(const Geodetic& observer,
   STARLAB_ENSURE(out.azimuth_deg >= 0.0 && out.azimuth_deg < 360.0,
                  "azimuth out of [0, 360): " + std::to_string(out.azimuth_deg));
   return out;
+}
+
+LookAngles look_angles(const Geodetic& observer, const EcefKm& target_ecef_km) {
+  return look_angles(ObserverFrame(observer), target_ecef_km);
 }
 
 Deg sky_separation(Deg az1_in, Deg el1_in, Deg az2_in, Deg el2_in) {

@@ -24,9 +24,26 @@ struct LookAngles {
   [[nodiscard]] constexpr Km range() const { return Km(range_km); }
 };
 
-/// Look angles from `observer` (geodetic) to `target_ecef` [km]. The target
-/// must already be Earth-fixed; a TEME position has to come through
+/// An observer's Earth-fixed position and the sines/cosines of its SEZ
+/// (south-east-zenith) basis: everything look_angles needs from the site,
+/// evaluated once so a loop over many targets or instants does not redo the
+/// geodetic -> ECEF conversion and the latitude/longitude trig.
+struct ObserverFrame {
+  EcefKm ecef_km;
+  double sin_lat = 0.0, cos_lat = 1.0;
+  double sin_lon = 0.0, cos_lon = 1.0;
+
+  explicit ObserverFrame(const Geodetic& observer);
+};
+
+/// Look angles from `observer` to `target_ecef` [km]. The target must
+/// already be Earth-fixed; a TEME position has to come through
 /// geo::teme_to_ecef first (enforced at compile time).
+[[nodiscard]] LookAngles look_angles(const ObserverFrame& observer,
+                                     const EcefKm& target_ecef_km);
+
+/// Geodetic overload: builds the ObserverFrame and delegates, so both
+/// overloads run one arithmetic path and agree bit for bit.
 [[nodiscard]] LookAngles look_angles(const Geodetic& observer,
                                      const EcefKm& target_ecef_km);
 

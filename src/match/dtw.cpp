@@ -89,4 +89,15 @@ STARLAB_HOTPATH double dtw_distance_normalized(std::span<const Point2> a,
   return d / static_cast<double>(a.size() + b.size());
 }
 
+double dtw_lower_bound(std::span<const Point2> a, Point2 center,
+                       double radius) {
+  if (a.empty()) return 0.0;
+  double nearest_sq = kInf;
+  for (const Point2& p : a) {
+    nearest_sq = std::min(nearest_sq, local_cost(p, center));
+  }
+  const double gap = std::sqrt(nearest_sq) - radius;
+  return gap > 0.0 ? 0.5 * gap * gap : 0.0;
+}
+
 }  // namespace starlab::match

@@ -35,4 +35,13 @@ struct Point2 {
                                              std::span<const Point2> b,
                                              int band = -1);
 
+/// A lower bound on dtw_distance_normalized(a, b, band), at any band, that
+/// holds for every `b` whose points all lie within `radius` of `center`.
+/// With d the distance from `center` to the nearest point of `a`, every
+/// local cost on the warping path is at least (d - radius)^2, and the path
+/// has at least max(|a|, |b|) >= (|a| + |b|) / 2 steps, so the normalized
+/// distance is at least max(0, d - radius)^2 / 2. 0 for an empty `a`.
+[[nodiscard]] double dtw_lower_bound(std::span<const Point2> a, Point2 center,
+                                     double radius);
+
 }  // namespace starlab::match

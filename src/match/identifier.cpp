@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <tuple>
 
 #include "check/contracts.hpp"
-#include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obsmap/components.hpp"
@@ -32,6 +32,13 @@ constexpr double kAmbiguousComponentRatio = 0.6;
 /// *lost* before the pair is declared a reboot. A genuine reset wipes
 /// hundreds; transport bit flips lose a handful. Clean frames lose none.
 constexpr int kResetPixelTolerance = 8;
+/// Candidates kept in `Identification::ranked`: the winner and the runner-up
+/// the margin is taken against.
+constexpr std::size_t kTopK = 2;
+/// plane_reach_px's safety factor, for what the sky-rate bound leaves out
+/// (SGP4's osculating speed against the vis-viva one) and the rounding in
+/// the lower bound and in the DTW sums it is compared with.
+constexpr double kReachSafetyFactor = 1.25;
 
 /// Pre-registered identifier metrics: the DTW candidate loop is the §4 hot
 /// path, so every handle is an atomic add behind the process-wide switch.
@@ -45,12 +52,13 @@ struct IdentifierMetrics {
       IdentifierMetrics x;
       x.slots = reg.counter("starlab_identifier_slots_total",
                             "Slots the identifier was asked about");
-      x.candidates_scored =
-          reg.counter("starlab_identifier_candidates_scored_total",
-                      "Candidate satellites scored against a trajectory");
+      x.candidates_scored = reg.counter(
+          "starlab_identifier_candidates_scored_total",
+          "Candidate satellites scored against a trajectory (those the DTW "
+          "lower bound could not rule out)");
       x.dtw_evals = reg.counter(
           "starlab_identifier_dtw_evals_total",
-          "DTW distance evaluations (two traversals per candidate)");
+          "DTW distance evaluations (two traversals per scored candidate)");
       x.abstentions = reg.counter("starlab_identifier_abstentions_total",
                                   "Slots the identifier declined to answer");
       x.resets = reg.counter("starlab_identifier_resets_detected_total",
@@ -73,18 +81,33 @@ struct IdentifierMetrics {
   }
 };
 
+/// True when every point of `path` lies within `reach` of `mid`.
+bool within_reach(const std::vector<Point2>& path, Point2 mid, double reach) {
+  return std::all_of(path.begin(), path.end(), [&](const Point2& p) {
+    return local_cost(p, mid) <= reach * reach;
+  });
+}
+
 }  // namespace
 
+double plane_reach_px(double max_sky_rate, geo::Deg elevation,
+                      const obsmap::MapGeometry& geometry, double seconds) {
+  const geo::Rad swept(max_sky_rate * seconds);
+  return kReachSafetyFactor *
+         geometry.max_scale(elevation - geo::to_deg(swept)) * swept.value();
+}
+
+obsmap::PathSampler SatelliteIdentifier::slot_sampler(
+    const ground::Terminal& terminal, time::SlotIndex slot) const {
+  return obsmap::PathSampler(catalog_, terminal.site(), grid_.slot_start(slot),
+                             grid_.slot_end(slot));
+}
+
 std::vector<Point2> SatelliteIdentifier::candidate_path(
-    std::size_t catalog_index, const ground::Terminal& terminal,
-    time::SlotIndex slot) const {
+    std::size_t catalog_index, const obsmap::PathSampler& sampler) const {
   std::vector<Point2> path;
-  const double t_begin = grid_.slot_start(slot);
-  const double t_end = grid_.slot_end(slot);
-  for (double t = t_begin; t < t_end; t += obsmap::kPathSampleSec) {
-    const time::JulianDate jd = time::JulianDate::from_unix_seconds(t);
-    const geo::LookAngles look =
-        catalog_.look_at(catalog_index, terminal.site(), jd);
+  for (std::size_t k = 0; k < sampler.size(); ++k) {
+    const geo::LookAngles look = sampler.look(catalog_index, k);
     if (look.elevation() < geometry_.min_elevation) continue;
     path.push_back(sky_to_plane(
         obsmap::SkyPoint::from(look.azimuth(), look.elevation()), geometry_));
@@ -152,43 +175,72 @@ Identification SatelliteIdentifier::identify_isolated(
   out.num_candidates = static_cast<int>(candidates.size());
   metrics.candidates_per_slot.observe(static_cast<double>(candidates.size()));
 
-  // §4's hot loop: per-candidate path sampling plus two DTW traversals.
-  // Scored in parallel into a slot-per-candidate buffer, then assembled in
-  // candidate order — bit-identical to the serial loop at any thread count.
-  struct ScoredCandidate {
-    bool present = false;
-    MatchScore score;
+  // §4's hot loop, best-first. A candidate's path stays within its reach R
+  // of its plane point at mid-slot (the query's own look, free here), so
+  // dtw_lower_bound bounds its score before any sampling. Scoring in
+  // ascending bound order, the first bound strictly above the runner-up's
+  // score rules out every later candidate: `ranked` is the exact top two.
+  // The slot's sample instants and the terminal's frame are evaluated once,
+  // for every path sampled.
+  const obsmap::PathSampler sampler = slot_sampler(terminal, slot);
+  const double half_slot_s = 0.5 * grid_.period_seconds();
+  struct Bounded {
+    double lower_bound;
+    std::size_t k;  ///< index into `candidates`: ties keep candidate order
+    Point2 mid;
+    double reach;
   };
-  std::vector<ScoredCandidate> scored(candidates.size());
-  // The per-candidate path buffer is this loop's output, and
-  // Ephemeris::look_from (behind candidate_path) throws for a satellite that
-  // decayed mid-slot; DTW itself stays allocation-free.
-  // starlint:hotpath starlint:allow(hotpath-alloc) starlint:allow(hotpath-throw)
-  exec::default_pool().parallel_for(candidates.size(), [&](std::size_t k) {
+  std::vector<Bounded> order;
+  order.reserve(candidates.size());
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
     const constellation::SkyEntry& c = candidates[k];
-    const std::vector<Point2> path =
-        candidate_path(c.catalog_index, terminal, slot);
-    if (path.empty()) return;
+    const Point2 mid = sky_to_plane(
+        obsmap::SkyPoint::from(c.look.azimuth(), c.look.elevation()),
+        geometry_);
+    const double reach = plane_reach_px(
+        catalog_.ephemeris(c.catalog_index)
+            .max_sky_rate(sampler.observer().ecef_km),
+        c.look.elevation(), geometry_, half_slot_s);
+    order.push_back({dtw_lower_bound(traj, mid, reach), k, mid, reach});
+  }
+  std::sort(order.begin(), order.end(), [](const Bounded& a, const Bounded& b) {
+    return std::tie(a.lower_bound, a.k) < std::tie(b.lower_bound, b.k);
+  });
+
+  struct Ranked {
+    MatchScore score;
+    std::size_t k;
+  };
+  const auto ranks_before = [](const Ranked& a, const Ranked& b) {
+    return std::tie(a.score.dtw, a.k) < std::tie(b.score.dtw, b.k);
+  };
+  std::vector<Ranked> top;  // ascending, at most kTopK
+  std::size_t num_scored = 0;
+  // PathSampler::look throws sgp4::Sgp4Error for a satellite that decays
+  // mid-slot; the error reaches identify's caller.
+  for (const Bounded& b : order) {
+    if (top.size() == kTopK && b.lower_bound > top.back().score.dtw) break;
+    const constellation::SkyEntry& c = candidates[b.k];
+    const std::vector<Point2> path = candidate_path(c.catalog_index, sampler);
+    if (path.empty()) continue;
+    STARLAB_ENSURE(within_reach(path, b.mid, b.reach),
+                   "candidate " + std::to_string(c.norad_id) +
+                       " strays beyond its reach bound of " +
+                       std::to_string(b.reach) + " px");
 
     const double d_fwd = dtw_distance_normalized(traj, path, config_.dtw_band);
     const double d_rev =
         dtw_distance_normalized(reversed, path, config_.dtw_band);
+    ++num_scored;
 
-    scored[k].present = true;
-    scored[k].score.catalog_index = c.catalog_index;
-    scored[k].score.norad_id = c.norad_id;
-    scored[k].score.dtw = std::min(d_fwd, d_rev);
-  });
-  for (const ScoredCandidate& sc : scored) {
-    if (sc.present) out.ranked.push_back(sc.score);
+    const Ranked r{{c.catalog_index, c.norad_id, std::min(d_fwd, d_rev)}, b.k};
+    top.insert(std::upper_bound(top.begin(), top.end(), r, ranks_before), r);
+    if (top.size() > kTopK) top.pop_back();
   }
-  metrics.dtw_evals.add(2 * out.ranked.size());
-  metrics.candidates_scored.add(out.ranked.size());
+  for (const Ranked& r : top) out.ranked.push_back(r.score);
+  metrics.dtw_evals.add(2 * num_scored);
+  metrics.candidates_scored.add(num_scored);
 
-  std::sort(out.ranked.begin(), out.ranked.end(),
-            [](const MatchScore& a, const MatchScore& b) {
-              return a.dtw < b.dtw;
-            });
   STARLAB_INVARIANT(
       out.ranked.empty() || out.ranked.front().dtw >= 0.0,
       "DTW distances must be non-negative after ranking");

@@ -4,11 +4,14 @@
 // obstruction-map trajectory.
 //
 // For one 15-second slot: take the XOR-isolated trajectory, chain it into a
-// sequence, and compare against the painted sky path of every candidate
-// satellite in the terminal's field of view (propagated from TLEs). The
-// candidate with the lowest DTW distance is declared the serving satellite.
-// Both traversal directions of the isolated path are tried because the map
-// does not encode motion direction.
+// sequence, and compare it by DTW against the painted sky paths of the
+// candidate satellites in the terminal's field of view (propagated from
+// TLEs). The candidate with the lowest DTW distance is declared the serving
+// satellite. Both traversal directions of the isolated path are tried
+// because the map does not encode motion direction. Only the two best
+// scores decide the slot, so candidates are scored best-first by a lower
+// bound on their DTW distance, and those whose bound already exceeds the
+// runner-up's score are never sampled.
 
 #include <optional>
 #include <span>
@@ -19,6 +22,7 @@
 #include "match/dtw.hpp"
 #include "match/trajectory.hpp"
 #include "obsmap/obstruction_map.hpp"
+#include "obsmap/painter.hpp"
 #include "time/slot_grid.hpp"
 
 namespace starlab::match {
@@ -58,7 +62,10 @@ enum class AbstainReason {
 /// Identification outcome for one slot.
 struct Identification {
   std::optional<MatchScore> best;     ///< empty if abstained / no evidence
-  std::vector<MatchScore> ranked;     ///< all candidates, ascending DTW
+  /// The exact two best candidates, ascending (DTW, candidate order): the
+  /// winner and the runner-up `confidence` compares it with. Fewer when
+  /// fewer candidates have a path on the map.
+  std::vector<MatchScore> ranked;
   std::size_t trajectory_pixels = 0;  ///< size of the isolated trajectory
   int num_candidates = 0;
   /// True when the frame pair betrayed an unnoticed dish reboot (the new
@@ -77,6 +84,18 @@ struct Identification {
     return abstain != AbstainReason::kNone;
   }
 };
+
+/// R in identify_isolated's pruning bound: an upper bound [px] on how far a
+/// satellite that crosses the sky at no more than `max_sky_rate` [rad/s]
+/// (sgp4::Ephemeris::max_sky_rate) can move in the plane of `geometry`
+/// within `seconds` of an instant at which it stands at `elevation`: the
+/// sky arc it can sweep, at the projection's largest scale over the
+/// elevations that arc can reach (MapGeometry::max_scale), with a safety
+/// factor. +infinity when no finite bound holds. See docs/PERFORMANCE.md,
+/// "Identification".
+[[nodiscard]] double plane_reach_px(double max_sky_rate, geo::Deg elevation,
+                                    const obsmap::MapGeometry& geometry,
+                                    double seconds);
 
 struct IdentifierConfig {
   int dtw_band = 16;  ///< Sakoe-Chiba half-width (pixels ~ samples)
@@ -101,20 +120,26 @@ class SatelliteIdentifier {
       const obsmap::ObstructionMap& curr_frame,
       std::span<const constellation::Catalog::Snapshot> snapshots = {}) const;
 
-  /// Identify from an already-isolated trajectory frame. Candidate scoring
-  /// (path sampling + both DTW traversals per candidate) is partitioned over
-  /// the exec::default_pool(); scores are assembled in candidate order so
-  /// the result is bit-identical at any thread count.
+  /// Identify from an already-isolated trajectory frame. Candidates are
+  /// scored (path sampling + both DTW traversals) serially, in ascending
+  /// order of dtw_lower_bound around their mid-slot plane point with
+  /// plane_reach_px as the radius, until a bound exceeds the runner-up's
+  /// score. `best`, `confidence` and `ranked` equal those of scoring every
+  /// candidate.
   [[nodiscard]] Identification identify_isolated(
       const ground::Terminal& terminal, time::SlotIndex slot,
       const obsmap::ObstructionMap& isolated,
       std::span<const constellation::Catalog::Snapshot> snapshots = {}) const;
 
-  /// The painted sky path a candidate would leave during a slot, in plane
-  /// coordinates (exposed for validation plots and tests).
+  /// The slot's path-sample instants as seen from `terminal`: one sampler
+  /// serves every candidate path of the slot.
+  [[nodiscard]] obsmap::PathSampler slot_sampler(
+      const ground::Terminal& terminal, time::SlotIndex slot) const;
+
+  /// The painted sky path a candidate would leave over the sampler's
+  /// window, in plane coordinates (exposed for validation plots and tests).
   [[nodiscard]] std::vector<Point2> candidate_path(
-      std::size_t catalog_index, const ground::Terminal& terminal,
-      time::SlotIndex slot) const;
+      std::size_t catalog_index, const obsmap::PathSampler& sampler) const;
 
  private:
   const constellation::Catalog& catalog_;

@@ -1,6 +1,8 @@
 #include "obsmap/map_geometry.hpp"
 
 #include <cmath>
+#include <limits>
+#include <numbers>
 #include <string>
 
 #include "check/contracts.hpp"
@@ -40,6 +42,16 @@ std::optional<SkyPoint> MapGeometry::sky_of(const Pixel& px) const {
   // atan2(east, north) == clockwise angle from north.
   p.azimuth_deg = geo::wrap_360(geo::rad_to_deg(std::atan2(dx, -dy)));
   return p;
+}
+
+double MapGeometry::max_scale(geo::Deg lowest) const {
+  constexpr double kNoBound = std::numeric_limits<double>::infinity();
+  if (max_elevation != geo::Deg(90.0)) return kNoBound;
+  const double zenith = geo::to_rad(max_elevation - lowest).value();
+  if (!(zenith < std::numbers::pi)) return kNoBound;
+  const double radial =
+      radius_px / geo::to_rad(max_elevation - min_elevation).value();
+  return zenith > 0.0 ? radial * zenith / std::sin(zenith) : radial;
 }
 
 }  // namespace starlab::obsmap

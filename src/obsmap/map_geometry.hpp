@@ -59,6 +59,14 @@ struct MapGeometry {
   /// the polar plot.
   [[nodiscard]] std::optional<SkyPoint> sky_of(const Pixel& px) const;
 
+  /// The largest plane displacement [px] per radian of sky arc that the
+  /// polar mapping makes among sky directions at or above `lowest`. The
+  /// radial scale is radius_px per radian of the elevation span; the
+  /// tangential one grows with zenith angle z by z / sin(z). +infinity when
+  /// the plot is not centred on the zenith (the tangential scale diverges
+  /// there) or `lowest` reaches the nadir.
+  [[nodiscard]] double max_scale(geo::Deg lowest) const;
+
   bool operator==(const MapGeometry&) const = default;
 };
 

@@ -32,15 +32,32 @@ void draw_line(ObstructionMap& frame, Pixel a, Pixel b) {
 
 }  // namespace
 
+PathSampler::PathSampler(const constellation::Catalog& catalog,
+                         const geo::Geodetic& site, double t_begin,
+                         double t_end)
+    : catalog_(catalog), observer_(site) {
+  for (double t = t_begin; t < t_end; t += kPathSampleSec) {
+    const time::JulianDate jd = time::JulianDate::from_unix_seconds(t);
+    instants_.push_back({jd, geo::teme_to_ecef_rotation(jd)});
+  }
+}
+
+geo::LookAngles PathSampler::look(std::size_t catalog_index,
+                                  std::size_t k) const {
+  const Instant& at = instants_[k];
+  const geo::TemeKm teme(
+      catalog_.ephemeris(catalog_index).state_teme(at.jd).position_km);
+  return geo::look_angles(observer_, at.teme_to_ecef.apply(teme));
+}
+
 void TrajectoryPainter::paint(const constellation::Catalog& catalog,
                               std::size_t catalog_index,
                               const ground::Terminal& terminal, double t_begin,
                               double t_end, ObstructionMap& frame) const {
+  const PathSampler sampler(catalog, terminal.site(), t_begin, t_end);
   std::optional<Pixel> prev;
-  for (double t = t_begin; t < t_end; t += kPathSampleSec) {
-    const time::JulianDate jd = time::JulianDate::from_unix_seconds(t);
-    const geo::LookAngles look =
-        catalog.look_at(catalog_index, terminal.site(), jd);
+  for (std::size_t k = 0; k < sampler.size(); ++k) {
+    const geo::LookAngles look = sampler.look(catalog_index, k);
     const std::optional<Pixel> px =
         geometry_.pixel_of(look.azimuth(), look.elevation());
     if (px.has_value()) {

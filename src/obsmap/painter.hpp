@@ -10,8 +10,10 @@
 // consumes starlink-grpc-tools dumps.
 
 #include <optional>
+#include <vector>
 
 #include "constellation/catalog.hpp"
+#include "geo/frames.hpp"
 #include "ground/terminal.hpp"
 #include "obsmap/obstruction_map.hpp"
 #include "scheduler/global_scheduler.hpp"
@@ -23,6 +25,40 @@ namespace starlab::obsmap {
 /// sky path at this rate, and the identifier samples candidate paths at the
 /// same rate so the two are comparable.
 inline constexpr double kPathSampleSec = 1.0;
+
+/// One sampling window [t_begin, t_end), stepped by kPathSampleSec, as seen
+/// from one site: each instant's TEME -> ECEF rotation and the observer's
+/// frame are evaluated once and shared by every satellite sampled over the
+/// window. TrajectoryPainter::paint and SatelliteIdentifier's candidate
+/// paths both sample through it, and each look is bit-identical to
+/// Catalog::look_at at the same instant (same functions, same inputs).
+class PathSampler {
+ public:
+  PathSampler(const constellation::Catalog& catalog, const geo::Geodetic& site,
+              double t_begin, double t_end);
+
+  /// Number of sample instants in the window.
+  [[nodiscard]] std::size_t size() const { return instants_.size(); }
+
+  /// Look angles of `catalog_index` at sample `k`. Throws sgp4::Sgp4Error
+  /// when the satellite has decayed by then, as Catalog::look_at does.
+  [[nodiscard]] geo::LookAngles look(std::size_t catalog_index,
+                                     std::size_t k) const;
+
+  [[nodiscard]] const geo::ObserverFrame& observer() const {
+    return observer_;
+  }
+
+ private:
+  struct Instant {
+    time::JulianDate jd;
+    geo::TemeToEcefRotation teme_to_ecef;
+  };
+
+  const constellation::Catalog& catalog_;
+  geo::ObserverFrame observer_;
+  std::vector<Instant> instants_;
+};
 
 class TrajectoryPainter {
  public:

@@ -32,6 +32,14 @@ class Ephemeris {
   [[nodiscard]] geo::LookAngles look_from(const geo::Geodetic& observer,
                                           const time::JulianDate& jd) const;
 
+  /// An upper bound [rad/s] on the angular rate at which this satellite can
+  /// cross the sky of a ground observer at `observer`: its greatest speed
+  /// relative to the Earth over its least possible range, both from the
+  /// element set's perigee and apogee widened by a margin for SGP4's
+  /// periodic terms and drag. +infinity when the perigee does not clear the
+  /// observer.
+  [[nodiscard]] double max_sky_rate(const geo::EcefKm& observer) const;
+
   [[nodiscard]] const Sgp4& propagator() const { return propagator_; }
 
  private:

@@ -1,7 +1,8 @@
 // The exec layer's central promise, end to end: every parallelized hot path
-// (Catalog::propagate_all, the identifier's candidate loop inside the
-// pipeline, run_campaign, RandomForest::fit) produces byte-identical output
-// at any thread count. Each test computes a num_threads == 1 baseline and
+// (Catalog::propagate_all, run_campaign, RandomForest::fit) produces
+// byte-identical output at any thread count, and the identification
+// pipeline, which scores candidates serially, gives the same rows at every
+// pool width. Each test computes a num_threads == 1 baseline and
 // compares the num_threads in {2, 8} runs against it field by field with
 // exact (bitwise) double equality. The pipeline tests also pin its
 // spatial-index visibility to the shared-snapshot route run_campaign takes,

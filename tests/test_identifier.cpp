@@ -110,7 +110,8 @@ TEST_F(IdentifierTest, CandidatePathStaysOnPlot) {
   const SlotFrames f = frames_for(s);
   if (!f.truth.has_value()) return;
   const auto path = identifier_.candidate_path(
-      f.truth->catalog_index, small_scenario().terminal(0), s);
+      f.truth->catalog_index,
+      identifier_.slot_sampler(small_scenario().terminal(0), s));
   ASSERT_FALSE(path.empty());
   for (const Point2& p : path) {
     const double dx = p.x - 61.0, dy = p.y - 61.0;

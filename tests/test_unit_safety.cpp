@@ -53,14 +53,26 @@ static_assert(!Addable<TemeKm, Vec3>);
 static_assert(Addable<EcefKm, EcefKm>);
 
 // --- the historically dangerous call sites -------------------------------
-// look_angles refuses a TEME position or an untagged vector.
+// look_angles refuses a TEME position or an untagged vector, from either
+// observer form. The overload set is wrapped in a SFINAE-friendly lambda so
+// the traits see every overload.
+constexpr auto kLookAngles = [](const auto& observer, const auto& target)
+    -> decltype(look_angles(observer, target)) {
+  return look_angles(observer, target);
+};
+static_assert(std::is_invocable_v<decltype(kLookAngles), const Geodetic&,
+                                  const EcefKm&>);
+static_assert(std::is_invocable_v<decltype(kLookAngles), const ObserverFrame&,
+                                  const EcefKm&>);
 static_assert(
-    std::is_invocable_v<decltype(look_angles), const Geodetic&, const EcefKm&>);
-static_assert(
-    !std::is_invocable_v<decltype(look_angles), const Geodetic&,
+    !std::is_invocable_v<decltype(kLookAngles), const Geodetic&,
                          const TemeKm&>,
     "a TEME position must pass through teme_to_ecef before look_angles");
-static_assert(!std::is_invocable_v<decltype(look_angles), const Geodetic&,
+static_assert(!std::is_invocable_v<decltype(kLookAngles), const Geodetic&,
+                                   const Vec3&>);
+static_assert(!std::is_invocable_v<decltype(kLookAngles), const ObserverFrame&,
+                                   const TemeKm&>);
+static_assert(!std::is_invocable_v<decltype(kLookAngles), const ObserverFrame&,
                                    const Vec3&>);
 
 // sky_separation refuses raw doubles (degrees? radians? — exactly the
