@@ -1,5 +1,6 @@
 #include "bench_common.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <filesystem>
@@ -68,8 +69,9 @@ void print_comparison(const std::string& metric, const std::string& paper,
 void print_ecdf_row(const std::string& label, const analysis::Ecdf& ecdf,
                     double lo, double hi, double step) {
   std::printf("  %-28s", label.c_str());
-  for (double x = lo; x <= hi + 1e-9; x += step) {
-    std::printf(" %5.2f", ecdf(x));
+  const int points = static_cast<int>(std::lround((hi - lo) / step)) + 1;
+  for (const auto& [x, fraction] : ecdf.series(lo, hi, points)) {
+    std::printf(" %5.2f", fraction);
   }
   std::printf("\n");
 }

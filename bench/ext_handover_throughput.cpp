@@ -14,6 +14,7 @@
 
 #include "bench_common.hpp"
 #include "ground/gateway.hpp"
+#include "rf/link_budget.hpp"
 #include "rf/rain_fade.hpp"
 
 using namespace starlab;
@@ -75,8 +76,8 @@ void throughput_section() {
   std::printf("\n  slant range -> Shannon capacity (Ku downlink, 240 MHz):\n");
   for (const double range : {550.0, 700.0, 900.0, 1100.0, 1300.0}) {
     std::printf("    %6.0f km  %7.0f Mbit/s   (C/N %.1f dB)\n", range,
-                rf::shannon_capacity_mbps(rf::ku_user_downlink(), geo::Km(range)),
-                rf::cn_db(rf::ku_user_downlink(), geo::Km(range)));
+                rf::shannon_capacity_mbps(geo::Km(range)),
+                rf::cn_db(geo::Km(range)));
   }
 }
 
@@ -177,7 +178,7 @@ void rain_section() {
     const double f25 = rf::rain_attenuation_db(rate, geo::Deg(25.0));
     const double f45 = rf::rain_attenuation_db(rate, geo::Deg(45.0));
     const double f85 = rf::rain_attenuation_db(rate, geo::Deg(85.0));
-    const double margin = rf::cn_db(rf::ku_user_downlink(), geo::Km(1200.0)) - f25;
+    const double margin = rf::cn_db(geo::Km(1200.0)) - f25;
     std::printf("  %8.1f   %8.1f dB %8.1f dB %8.1f dB   %8.1f dB\n", rate,
                 f25, f45, f85, margin);
   }

@@ -275,7 +275,7 @@ void BM_ForestFit(benchmark::State& state) {
   for (auto _ : state) {
     ml::RandomForest forest(cfg);
     forest.fit(data);
-    benchmark::DoNotOptimize(forest.oob_accuracy());
+    benchmark::DoNotOptimize(forest.trees().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           cfg.num_trees);

@@ -11,6 +11,7 @@
 //
 // Run without arguments for usage.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -168,7 +169,12 @@ int cmd_train(const Args& args) {
     return 1;
   }
   forest.save(stream);
-  std::printf("wrote %d-tree forest to %s\n", cfg.num_trees, out.c_str());
+  int deepest = 0;
+  for (const ml::DecisionTree& tree : forest.trees()) {
+    deepest = std::max(deepest, tree.depth());
+  }
+  std::printf("wrote %d-tree forest (deepest tree: %d levels) to %s\n",
+              cfg.num_trees, deepest, out.c_str());
   return 0;
 }
 

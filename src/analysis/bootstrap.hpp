@@ -19,7 +19,6 @@ struct BootstrapCi {
   double lo = 0.0;     ///< lower percentile bound
   double hi = 0.0;     ///< upper percentile bound
 
-  [[nodiscard]] double width() const { return hi - lo; }
   [[nodiscard]] bool contains(double v) const { return v >= lo && v <= hi; }
 };
 

@@ -16,14 +16,6 @@ double Ecdf::operator()(double x) const {
          static_cast<double>(sorted_.size());
 }
 
-double Ecdf::quantile(double p) const {
-  if (sorted_.empty()) return 0.0;
-  const double target = p * static_cast<double>(sorted_.size());
-  auto idx = static_cast<std::size_t>(target);
-  if (idx >= sorted_.size()) idx = sorted_.size() - 1;
-  return sorted_[idx];
-}
-
 std::vector<std::pair<double, double>> Ecdf::series(double lo, double hi,
                                                     int points) const {
   std::vector<std::pair<double, double>> out;

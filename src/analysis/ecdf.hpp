@@ -16,9 +16,6 @@ class Ecdf {
   /// P(X <= x) under the empirical distribution; 0 for an empty ECDF.
   [[nodiscard]] double operator()(double x) const;
 
-  /// Inverse: smallest sample value v with P(X <= v) >= p.
-  [[nodiscard]] double quantile(double p) const;
-
   [[nodiscard]] std::size_t size() const { return sorted_.size(); }
   [[nodiscard]] bool empty() const { return sorted_.empty(); }
 

@@ -2,7 +2,7 @@
 
 // Clang Thread Safety Analysis annotations + the annotated lock vocabulary
 // the concurrency layer uses (ThreadPool, metrics registry, trace sinks,
-// forest OOB merge, Supervisor, campaign journal).
+// Supervisor, campaign journal).
 //
 // Under clang, GUARDED_BY/REQUIRES/EXCLUDES/... expand to the attributes
 // behind -Wthread-safety, turning "which mutex guards this field" from a

@@ -26,6 +26,8 @@ std::string intl_designator(const time::UtcTime& launch, int launch_of_year,
   return buf;
 }
 
+constexpr std::size_t kSatellitesPerLaunch = 56;
+
 }  // namespace
 
 std::vector<tle::Tle> Constellation::tles() const {
@@ -38,13 +40,12 @@ std::vector<tle::Tle> Constellation::tles() const {
 Constellation synthesize(const SynthesizerConfig& config) {
   Constellation out;
 
-  // 1. Enumerate every slot of every shell, shell-major (Starlink filled
-  //    shell 1 first, then the others).
+  // 1. Enumerate every slot of every shell.
   struct Slot {
     WalkerElement element;
     int shell;
   };
-  std::vector<WalkerShell> shells = config.shells;
+  std::vector<WalkerShell> shells = starlink_gen1_shells();
   if (config.gen2) shells.push_back(starlink_gen2_shell());
 
   std::vector<Slot> slots;
@@ -62,36 +63,23 @@ Constellation synthesize(const SynthesizerConfig& config) {
     slots.swap(kept);
   }
 
-  // 2. Order slots before slicing into launches.
+  // 2. Launch date independent of orbital geometry: global shuffle.
   std::mt19937_64 rng(config.seed);
-  if (config.ordering == LaunchOrdering::kInterleaved) {
-    // Launch date independent of orbital geometry: global shuffle.
-    std::shuffle(slots.begin(), slots.end(), rng);
-  } else {
-    // Shell-major chronology with a mild windowed shuffle: real launches
-    // fill planes approximately but not exactly in order (drift phasing,
-    // spares).
-    const std::size_t window = static_cast<std::size_t>(
-        std::max(2, config.satellites_per_launch * 2));
-    for (std::size_t start = 0; start + 1 < slots.size(); start += window / 2) {
-      const std::size_t end = std::min(slots.size(), start + window);
-      std::shuffle(slots.begin() + static_cast<std::ptrdiff_t>(start),
-                   slots.begin() + static_cast<std::ptrdiff_t>(end), rng);
-    }
-  }
+  std::shuffle(slots.begin(), slots.end(), rng);
 
   // 3. Slice into launches spread uniformly between first and last launch.
+  const time::UtcTime first_launch{2019, 5, 24, 0, 0, 0.0};
+  const time::UtcTime last_launch{2023, 5, 4, 0, 0, 0.0};
   const int num_launches = static_cast<int>(
-      (slots.size() + config.satellites_per_launch - 1) /
-      static_cast<std::size_t>(config.satellites_per_launch));
-  const double t_first = config.first_launch.to_unix_seconds();
-  const double t_last = config.last_launch.to_unix_seconds();
+      (slots.size() + kSatellitesPerLaunch - 1) / kSatellitesPerLaunch);
+  const double t_first = first_launch.to_unix_seconds();
+  const double t_last = last_launch.to_unix_seconds();
   const double launch_spacing =
       num_launches > 1 ? (t_last - t_first) / (num_launches - 1) : 0.0;
 
   int norad = config.first_norad_id;
   int launch_of_year = 1;
-  int prev_launch_year = config.first_launch.year;
+  int prev_launch_year = first_launch.year;
 
   for (int li = 0; li < num_launches; ++li) {
     LaunchBatch batch;
@@ -108,10 +96,10 @@ Constellation synthesize(const SynthesizerConfig& config) {
       prev_launch_year = batch.date.year;
     }
 
-    const std::size_t begin = static_cast<std::size_t>(li) *
-                              static_cast<std::size_t>(config.satellites_per_launch);
-    const std::size_t end = std::min(
-        slots.size(), begin + static_cast<std::size_t>(config.satellites_per_launch));
+    const std::size_t begin =
+        static_cast<std::size_t>(li) * kSatellitesPerLaunch;
+    const std::size_t end =
+        std::min(slots.size(), begin + kSatellitesPerLaunch);
 
     for (std::size_t i = begin; i < end; ++i) {
       const Slot& slot = slots[i];

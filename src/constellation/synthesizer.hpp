@@ -43,41 +43,28 @@ struct SatelliteRecord {
   }
 };
 
-/// How launch dates map onto orbital slots.
-enum class LaunchOrdering {
-  /// Shells fill one after another (launch date correlates with shell).
-  kShellMajor,
-  /// Launches draw slots from every shell throughout the campaign, so
-  /// launch date is independent of orbital geometry. This is the default:
-  /// it isolates the scheduler's launch-recency preference (§5.2) from
-  /// shell-geometry confounds that a strictly sequential fill would
-  /// introduce at the paper's mid-latitude vantage points.
-  kInterleaved,
-};
-
+/// Launches draw slots from every Gen1 shell (plus the Gen2 shell when
+/// asked) throughout the campaign, so launch date is independent of orbital
+/// geometry: that isolates the scheduler's launch-recency preference (§5.2)
+/// from shell-geometry confounds a shell-by-shell fill would introduce at
+/// the paper's mid-latitude vantage points. Launches carry 56 satellites
+/// each (Starlink F9 missions carry ~52-60), spread evenly from 2019-05-24
+/// to 2023-05-04.
 struct SynthesizerConfig {
-  std::vector<WalkerShell> shells = starlink_gen1_shells();
-  /// Append the Gen2 extension shell (120x45 at 525 km) to `shells`,
+  /// Append the Gen2 extension shell (120x45 at 525 km) to the Gen1 shells,
   /// growing the catalog to ~9.6k satellites at scale 1. Defaults off so
   /// Gen1 goldens are untouched.
   bool gen2 = false;
   /// Keep only every k-th satellite (k == 1/scale) to trade fidelity for
   /// speed in tests. 1.0 == full constellation.
   double scale = 1.0;
-  LaunchOrdering ordering = LaunchOrdering::kInterleaved;
   /// TLE epoch for all satellites (campaigns start here).
   time::UtcTime epoch{2023, 6, 1, 0, 0, 0.0};
-  /// First and last launch dates of the ledger.
-  time::UtcTime first_launch{2019, 5, 24, 0, 0, 0.0};
-  time::UtcTime last_launch{2023, 5, 4, 0, 0, 0.0};
-  /// Satellites per launch (Starlink F9 missions carry ~52-60).
-  int satellites_per_launch = 56;
   /// First NORAD id to assign.
   int first_norad_id = 44000;
   /// B* drag term for all satellites (typical Starlink magnitude).
   double bstar = 1.0e-4;
-  /// Seed for the small random jitter applied to slot assignment so batch
-  /// membership is not perfectly correlated with orbital plane.
+  /// Seed for the shuffle that assigns slots to launches.
   std::uint64_t seed = 20230601;
 };
 

@@ -79,16 +79,7 @@ std::size_t PipelineResult::flagged(std::uint32_t quality_bit) const {
 
 InferencePipeline::InferencePipeline(const Scenario& scenario,
                                      PipelineConfig config)
-    : scenario_(scenario), config_(std::move(config)) {
-  if (config_.recover_geometry) {
-    const auto recovered =
-        recover_geometry_via_fill(scenario_, 0, config_.fill_hours);
-    geometry_ = recovered.has_value() ? recovered->geometry
-                                      : obsmap::MapGeometry{};
-  } else {
-    geometry_ = obsmap::MapGeometry{};  // the published (61,61)/45px layout
-  }
-}
+    : scenario_(scenario), config_(std::move(config)) {}
 
 std::optional<obsmap::RecoveredParams>
 InferencePipeline::recover_geometry_via_fill(const Scenario& scenario,
@@ -128,8 +119,8 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
       timed ? &result.report.stage("identify") : nullptr;
 
   obsmap::MapRecorder recorder(scenario_.catalog(), terminal, grid,
-                               obsmap::TrajectoryPainter(geometry_));
-  match::SatelliteIdentifier identifier(scenario_.catalog(), geometry_, grid,
+                               obsmap::TrajectoryPainter(kGeometry));
+  match::SatelliteIdentifier identifier(scenario_.catalog(), kGeometry, grid,
                                         config_.identifier);
   const fault::FaultPlan& plan =
       config_.faults.has_value() ? *config_.faults : scenario_.fault_plan();

@@ -74,11 +74,6 @@ struct PipelineResult {
 struct PipelineConfig {
   double reset_interval_sec = 600.0;  ///< terminal reset cadence (10 min)
   match::IdentifierConfig identifier;
-  /// When set, the pipeline first runs a long fill phase and recovers the
-  /// map geometry from the accumulated frame (§4.1) instead of assuming the
-  /// published parameters.
-  bool recover_geometry = false;
-  double fill_hours = 48.0;  ///< fill-phase length for geometry recovery
   /// Fault plan for this run; unset falls back to the scenario's plan. The
   /// pipeline applies the obstruction-map frame injector (dropped polls,
   /// bit flips) to what it observes — never to the dish's true state.
@@ -113,10 +108,10 @@ class InferencePipeline {
   void append_inferred_rows(CampaignData& data, const PipelineResult& result,
                             std::size_t terminal_index) const;
 
-  /// The map geometry the pipeline operates with (published constants, or
-  /// the recovered one when config.recover_geometry is set).
+  /// The map geometry the pipeline operates with: the published
+  /// (61, 61)/45 px layout.
   [[nodiscard]] const obsmap::MapGeometry& geometry() const {
-    return geometry_;
+    return kGeometry;
   }
 
   /// The scenario this pipeline runs against (the one passed at
@@ -132,7 +127,7 @@ class InferencePipeline {
  private:
   const Scenario& scenario_;
   PipelineConfig config_;
-  obsmap::MapGeometry geometry_;
+  static constexpr obsmap::MapGeometry kGeometry{};
 };
 
 }  // namespace starlab::core

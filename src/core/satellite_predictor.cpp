@@ -16,7 +16,7 @@ std::vector<int> SatellitePredictor::rank_satellites(
   std::vector<Scored> scored;
   if (slot.available.empty()) return {};
 
-  const ClusterFeaturizer::SlotFeatures f = featurizer_.featurize(slot);
+  const ClusterFeaturizer::SlotFeatures f = ClusterFeaturizer{}.featurize(slot);
   const std::vector<double> cluster_proba = forest_.predict_proba(f.x);
 
   // Recompute each candidate's cluster the same way the featurizer did.

@@ -36,7 +36,6 @@ class SatellitePredictor {
 
  private:
   const ml::RandomForest& forest_;
-  ClusterFeaturizer featurizer_;
 };
 
 }  // namespace starlab::core

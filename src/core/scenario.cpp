@@ -17,18 +17,13 @@ Scenario::Scenario(ScenarioConfig config)
     : config_(std::move(config)),
       catalog_(std::make_unique<constellation::Catalog>(
           constellation::synthesize(config_.constellation))),
-      mac_(config_.mac, config_.seed ^ 0x11ULL) {
+      mac_(config_.seed ^ 0x11ULL) {
   terminals_.reserve(config_.terminals.size());
   for (const ground::TerminalConfig& tc : config_.terminals) {
     terminals_.emplace_back(tc);
   }
   global_ = std::make_unique<scheduler::GlobalScheduler>(
       *catalog_, config_.weights, config_.grid, config_.seed);
-  if (config_.attach_gateway_network) {
-    gateways_ = std::make_unique<ground::GatewayNetwork>(
-        ground::GatewayNetwork::paper_region_network());
-    global_->set_gateway_network(gateways_.get());
-  }
 }
 
 }  // namespace starlab::core

@@ -11,7 +11,6 @@
 #include "constellation/catalog.hpp"
 #include "constellation/synthesizer.hpp"
 #include "fault/fault_plan.hpp"
-#include "ground/gateway.hpp"
 #include "ground/sites.hpp"
 #include "ground/terminal.hpp"
 #include "scheduler/global_scheduler.hpp"
@@ -24,16 +23,10 @@ namespace starlab::core {
 struct ScenarioConfig {
   constellation::SynthesizerConfig constellation;
   scheduler::SchedulerWeights weights;
-  scheduler::MacConfig mac;
   time::SlotGrid grid{15.0, 12.0};
   std::uint64_t seed = 7;
   /// Terminals to instantiate; defaults to the paper's four vantage points.
   std::vector<ground::TerminalConfig> terminals;
-  /// Attach the bent-pipe gateway constraint (paper-region network). Off by
-  /// default: with the realistic network it almost never binds at the
-  /// paper's vantage points (validated in tests), and leaving it off keeps
-  /// the calibrated statistics exactly reproducible.
-  bool attach_gateway_network = false;
   /// Fault injection applied by campaigns and pipelines run over this
   /// scenario (they can also override it per run). The default plan has
   /// every rate at 0, i.e. clean data.
@@ -88,7 +81,6 @@ class Scenario {
   std::unique_ptr<constellation::Catalog> catalog_;
   std::vector<ground::Terminal> terminals_;
   std::unique_ptr<scheduler::GlobalScheduler> global_;
-  std::unique_ptr<ground::GatewayNetwork> gateways_;
   scheduler::MacScheduler mac_;
 };
 

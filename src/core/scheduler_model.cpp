@@ -10,6 +10,12 @@
 
 namespace starlab::core {
 
+namespace {
+
+constexpr double kHoldoutFraction = 0.2;  ///< the paper's 80/20 split
+
+}  // namespace
+
 int ClusterFeaturizer::z_bucket(double value, double mean, double stddev) {
   if (stddev <= 1e-12) return 0;
   const double z = (value - mean) / stddev;
@@ -124,7 +130,7 @@ ModelEvaluation train_scheduler_model(
 
   std::mt19937_64 rng(config.seed);
   const ml::IndexSplit split =
-      ml::train_test_split(all.size(), config.holdout_fraction, rng);
+      ml::train_test_split(all.size(), kHoldoutFraction, rng);
   const ml::Dataset train = all.subset(split.train);
   out.train_rows = train.size();
   out.holdout_rows = split.test.size();
@@ -167,9 +173,9 @@ ModelEvaluation train_scheduler_model(
     labels.push_back(all.label(i));
   }
 
-  out.forest_top_k.resize(static_cast<std::size_t>(config.max_k));
-  out.baseline_top_k.resize(static_cast<std::size_t>(config.max_k));
-  for (int k = 1; k <= config.max_k; ++k) {
+  out.forest_top_k.resize(static_cast<std::size_t>(kMaxK));
+  out.baseline_top_k.resize(static_cast<std::size_t>(kMaxK));
+  for (int k = 1; k <= kMaxK; ++k) {
     out.forest_top_k[static_cast<std::size_t>(k - 1)] =
         ml::top_k_accuracy(forest_ranks, labels, k);
     out.baseline_top_k[static_cast<std::size_t>(k - 1)] =

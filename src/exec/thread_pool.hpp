@@ -89,8 +89,9 @@ class ThreadPool {
   bool stop_ GUARDED_BY(mu_) = false;
 };
 
-/// The process-wide pool the hot paths (Catalog::propagate_all, the
-/// identifier's candidate loop, run_campaign, RandomForest::fit) schedule on.
+/// The process-wide pool that run_campaign, RandomForest::fit and
+/// run_campaign_durable schedule on (and Catalog::propagate_all, which only
+/// perfbench's replay still calls).
 /// First use builds it from Config{} — honoring the STARLAB_THREADS
 /// environment variable when set — so untouched programs parallelize across
 /// the hardware by default.

@@ -109,12 +109,7 @@ class WriteKilled : public std::runtime_error {
  public:
   explicit WriteKilled(std::uint64_t at_byte)
       : std::runtime_error("write kill-point fired at byte " +
-                           std::to_string(at_byte)),
-        at_byte_(at_byte) {}
-  [[nodiscard]] std::uint64_t at_byte() const { return at_byte_; }
-
- private:
-  std::uint64_t at_byte_;
+                           std::to_string(at_byte)) {}
 };
 
 /// Byte-budget write gate simulating a crash at an exact file offset: the

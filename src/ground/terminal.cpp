@@ -28,7 +28,7 @@ std::vector<Candidate> Terminal::annotate(
     Candidate c;
     c.obstructed = config_.mask.blocked(e.look.azimuth(), e.look.elevation());
     c.gso_excluded = gso_arc_->excluded(e.look.azimuth(), e.look.elevation(),
-                                        config_.gso_protection);
+                                        kGsoProtection);
     c.sky = std::move(e);
     out.push_back(std::move(c));
   }

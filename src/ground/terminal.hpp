@@ -28,12 +28,14 @@ struct Candidate {
   [[nodiscard]] bool usable() const { return !obstructed && !gso_excluded; }
 };
 
+/// Half-width of the GSO exclusion zone around the geostationary arc.
+inline constexpr geo::Deg kGsoProtection{12.0};
+
 struct TerminalConfig {
   std::string name = "terminal";
   geo::Geodetic site;
   ObstructionMask mask;                         ///< local horizon profile
   geo::Deg min_elevation = geo::Deg(25.0);      ///< hardware field-of-view limit
-  geo::Deg gso_protection = geo::Deg(12.0);     ///< half-width of the GSO exclusion
   geo::Geodetic pop_site;               ///< the Starlink PoP serving this region
 };
 

@@ -30,8 +30,6 @@ struct ParseReport {
   std::size_t records_skipped = 0;  ///< records dropped (== issues.size())
   std::vector<ParseIssue> issues;
 
-  [[nodiscard]] bool clean() const { return issues.empty(); }
-
   void add(std::size_t line, std::string reason) {
     ++records_skipped;
     issues.push_back({line, std::move(reason)});

@@ -14,6 +14,12 @@ constexpr double kMaxPeriodSec = 40.0;
 constexpr double kPeriodStepSec = 0.5;
 constexpr double kToleranceSec = 1.0;
 
+// Change detection (see detect_change_points).
+constexpr double kBucketSec = 0.5;
+constexpr std::size_t kWindowBuckets = 4;
+constexpr double kThresholdMs = 1.2;
+constexpr double kSummaryQuantile = 0.2;
+
 double quantile_of(std::vector<double> v, double q) {
   if (v.empty()) return std::numeric_limits<double>::quiet_NaN();
   auto idx = static_cast<std::size_t>(q * static_cast<double>(v.size()));
@@ -27,8 +33,7 @@ double median_of(std::vector<double> v) { return quantile_of(std::move(v), 0.5);
 
 }  // namespace
 
-std::vector<ChangePoint> detect_change_points(const RttSeries& series,
-                                              const ChangePointConfig& config) {
+std::vector<ChangePoint> detect_change_points(const RttSeries& series) {
   std::vector<ChangePoint> out;
   const std::vector<RttSample> recv = series.received();
   if (recv.size() < 8) return out;
@@ -37,21 +42,21 @@ std::vector<ChangePoint> detect_change_points(const RttSeries& series,
   const double t0 = recv.front().unix_sec;
   const double t1 = recv.back().unix_sec;
   const auto num_buckets =
-      static_cast<std::size_t>((t1 - t0) / config.bucket_sec) + 1;
+      static_cast<std::size_t>((t1 - t0) / kBucketSec) + 1;
   std::vector<std::vector<double>> bucket_vals(num_buckets);
   for (const RttSample& s : recv) {
-    const auto b = static_cast<std::size_t>((s.unix_sec - t0) / config.bucket_sec);
+    const auto b = static_cast<std::size_t>((s.unix_sec - t0) / kBucketSec);
     bucket_vals[std::min(b, num_buckets - 1)].push_back(s.rtt_ms);
   }
   std::vector<double> medians(num_buckets);
   for (std::size_t i = 0; i < num_buckets; ++i) {
     medians[i] =
-        quantile_of(std::move(bucket_vals[i]), config.summary_quantile);
+        quantile_of(std::move(bucket_vals[i]), kSummaryQuantile);
   }
 
-  // 2. Median-shift scan: compare the medians of the window_buckets buckets
+  // 2. Median-shift scan: compare the medians of the kWindowBuckets buckets
   //    on each side of every bucket boundary.
-  const auto w = static_cast<std::size_t>(config.window_buckets);
+  const std::size_t w = kWindowBuckets;
   std::vector<ChangePoint> candidates;
   for (std::size_t edge = w; edge + w <= num_buckets; ++edge) {
     std::vector<double> left, right;
@@ -63,13 +68,13 @@ std::vector<ChangePoint> detect_change_points(const RttSeries& series,
     }
     if (left.empty() || right.empty()) continue;
     const double shift = std::fabs(median_of(right) - median_of(left));
-    if (shift >= config.threshold_ms) {
+    if (shift >= kThresholdMs) {
       candidates.push_back(
-          {t0 + static_cast<double>(edge) * config.bucket_sec, shift});
+          {t0 + static_cast<double>(edge) * kBucketSec, shift});
     }
   }
 
-  // 3. Non-maximum suppression: within any min_separation window keep the
+  // 3. Non-maximum suppression: within any kMinChangeSeparationSec keep the
   //    strongest shift.
   std::sort(candidates.begin(), candidates.end(),
             [](const ChangePoint& a, const ChangePoint& b) {
@@ -78,7 +83,7 @@ std::vector<ChangePoint> detect_change_points(const RttSeries& series,
   for (const ChangePoint& c : candidates) {
     const bool close_to_kept =
         std::any_of(out.begin(), out.end(), [&](const ChangePoint& k) {
-          return std::fabs(k.unix_sec - c.unix_sec) < config.min_separation_sec;
+          return std::fabs(k.unix_sec - c.unix_sec) < kMinChangeSeparationSec;
         });
     if (!close_to_kept) out.push_back(c);
   }

@@ -21,22 +21,18 @@ struct ChangePoint {
   double magnitude_ms = 0.0;  ///< |median after - median before|
 };
 
-struct ChangePointConfig {
-  double bucket_sec = 0.5;     ///< robust-summary bucket width
-  int window_buckets = 4;      ///< buckets on each side of a candidate edge
-  double threshold_ms = 1.2;   ///< minimum summary shift to call a change
-  double min_separation_sec = 3.0;  ///< merge changes closer than this
-  /// Per-bucket summary quantile. A *low* quantile tracks the floor of the
-  /// MAC band structure (propagation + the terminal's own grant band),
-  /// which only moves when the serving satellite changes; the median would
-  /// stochastically flip between bands within a slot and fake mid-slot
-  /// changes.
-  double summary_quantile = 0.2;
-};
+/// Minimum gap between reported changes; closer ones are merged.
+inline constexpr double kMinChangeSeparationSec = 3.0;
 
-/// Detect abrupt latency shifts in a series.
+/// Detect abrupt latency shifts in a series: the per-0.5 s-bucket 20th
+/// percentile RTT, compared across 4 buckets on each side of a candidate
+/// edge, must shift by at least 1.2 ms. A *low* quantile tracks the floor
+/// of the MAC band structure (propagation + the terminal's own grant band),
+/// which only moves when the serving satellite changes; the median would
+/// stochastically flip between bands within a slot and fake mid-slot
+/// changes.
 [[nodiscard]] std::vector<ChangePoint> detect_change_points(
-    const RttSeries& series, const ChangePointConfig& config = {});
+    const RttSeries& series);
 
 /// Result of fitting a periodic grid to detected change points.
 struct EpochEstimate {

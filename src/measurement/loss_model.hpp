@@ -39,7 +39,6 @@ class GilbertElliott {
   /// Reset to the Good state and restart the random sequence.
   void reset();
 
-  [[nodiscard]] const GilbertElliottConfig& config() const { return config_; }
 
  private:
   GilbertElliottConfig config_;

@@ -4,9 +4,18 @@
 #include <cmath>
 #include <functional>
 
+#include "rf/link_budget.hpp"
 #include "scheduler/stochastic.hpp"
 
 namespace starlab::measurement {
+
+namespace {
+
+constexpr double kSampleIntervalSec = 1.0;
+constexpr double kEfficiency = 0.65;     ///< modem efficiency vs Shannon
+constexpr double kNoiseFraction = 0.05;  ///< multiplicative goodput jitter
+
+}  // namespace
 
 double ThroughputSeries::mean_goodput_mbps() const {
   if (samples.empty()) return 0.0;
@@ -28,8 +37,8 @@ double ThroughputProber::capacity_share_mbps(
     const ground::Terminal& terminal, const scheduler::Allocation& allocation,
     double unix_sec) const {
   (void)unix_sec;
-  const double link_capacity = rf::shannon_capacity_mbps(
-      config_.link, allocation.look.range(), config_.efficiency);
+  const double link_capacity =
+      rf::shannon_capacity_mbps(allocation.look.range(), kEfficiency);
 
   // Frame cycle: the beam is time-shared across `cycle` terminals.
   const int cycle =
@@ -58,9 +67,9 @@ ThroughputSeries ThroughputProber::run(const ground::Terminal& terminal,
 
   std::uint64_t seq = 0;
   const auto num_samples = static_cast<std::uint64_t>(std::ceil(
-      (end_unix - start_unix) / config_.sample_interval_sec - 1e-9));
+      (end_unix - start_unix) / kSampleIntervalSec - 1e-9));
   for (std::uint64_t i = 0; i < num_samples; ++i, ++seq) {
-    const double t = start_unix + static_cast<double>(i) * config_.sample_interval_sec;
+    const double t = start_unix + static_cast<double>(i) * kSampleIntervalSec;
     const time::SlotIndex slot = grid.slot_of(t);
     if (!have_cached || slot != cached_slot) {
       alloc = global_.allocate(terminal, slot);
@@ -75,7 +84,7 @@ ThroughputSeries ThroughputProber::run(const ground::Terminal& terminal,
     if (alloc.has_value()) {
       const double share = capacity_share_mbps(terminal, *alloc, t);
       const double jitter =
-          1.0 + config_.noise_fraction *
+          1.0 + kNoiseFraction *
                     (2.0 * scheduler::uniform01(scheduler::mix_keys(
                                seed_, tkey, static_cast<std::uint64_t>(slot),
                                seq)) -

@@ -21,11 +21,6 @@ class PopularityBaseline {
   [[nodiscard]] std::vector<int> ranked_classes(
       std::span<const double> features) const;
 
-  /// The most populated cluster.
-  [[nodiscard]] int predict(std::span<const double> features) const {
-    return ranked_classes(features).front();
-  }
-
  private:
   std::size_t count_offset_;
   int num_classes_;

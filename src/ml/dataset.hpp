@@ -40,9 +40,6 @@ class Dataset {
   [[nodiscard]] const std::vector<std::string>& feature_names() const {
     return feature_names_;
   }
-  [[nodiscard]] const std::vector<std::string>& class_names() const {
-    return class_names_;
-  }
 
   /// A dataset containing only the given rows (e.g. one fold).
   [[nodiscard]] Dataset subset(std::span<const std::size_t> indices) const;

@@ -271,12 +271,6 @@ std::vector<double> DecisionTree::predict_proba(
   return node->proba;
 }
 
-int DecisionTree::predict(std::span<const double> features) const {
-  const std::vector<double> proba = predict_proba(features);
-  return static_cast<int>(
-      std::max_element(proba.begin(), proba.end()) - proba.begin());
-}
-
 int DecisionTree::depth() const {
   // Iterative depth computation over the implicit tree.
   if (nodes_.empty()) return 0;

@@ -68,9 +68,6 @@ class DecisionTree {
   [[nodiscard]] std::vector<double> predict_proba(
       std::span<const double> features) const;
 
-  /// Argmax class.
-  [[nodiscard]] int predict(std::span<const double> features) const;
-
   /// Total gini impurity decrease contributed by each feature (unnormalized;
   /// the forest aggregates and normalizes).
   [[nodiscard]] const std::vector<double>& impurity_decrease() const {

@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "check/contracts.hpp"
-#include "check/thread_annotations.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace starlab::ml {
@@ -43,18 +42,6 @@ void RandomForest::fit(const Dataset& data) {
   const auto n_boot = static_cast<std::size_t>(
       config_.bootstrap_fraction * static_cast<double>(data.size()));
 
-  // Out-of-bag vote tally: votes[i * classes + c]. Trees merge their votes
-  // under a mutex; integer additions commute, so the final tally (and thus
-  // oob_accuracy) is identical no matter which thread finishes first.
-  struct OobTally {
-    check::Mutex mu;
-    std::vector<int> votes GUARDED_BY(mu);
-  } oob;
-  if (config_.compute_oob) {
-    const check::MutexLock lock(oob.mu);
-    oob.votes.assign(data.size() * static_cast<std::size_t>(num_classes_), 0);
-  }
-
   // Each tree draws from its own splitmix64-derived stream, so tree t's
   // bootstrap sample and split choices depend only on (config.seed, t) —
   // never on thread scheduling. Trees land in their slot by index. All
@@ -68,58 +55,10 @@ void RandomForest::fit(const Dataset& data) {
         std::uniform_int_distribution<std::size_t> pick(0, data.size() - 1);
 
         std::vector<std::size_t> sample(n_boot);
-        std::vector<bool> in_bag;
-        if (config_.compute_oob) in_bag.assign(data.size(), false);
-        for (std::size_t& s : sample) {
-          s = pick(rng);
-          if (config_.compute_oob) in_bag[s] = true;
-        }
+        for (std::size_t& s : sample) s = pick(rng);
 
         trees_[t].fit(data, ranks, sample, rng);
-
-        if (config_.compute_oob) {
-          // One predicted class per out-of-bag row (-1 when in bag).
-          std::vector<int> predicted(data.size(), -1);
-          for (std::size_t i = 0; i < data.size(); ++i) {
-            if (!in_bag[i]) predicted[i] = trees_[t].predict(data.row(i));
-          }
-          const check::MutexLock lock(oob.mu);
-          for (std::size_t i = 0; i < predicted.size(); ++i) {
-            if (predicted[i] < 0) continue;
-            oob.votes[i * static_cast<std::size_t>(num_classes_) +
-                      static_cast<std::size_t>(predicted[i])] += 1;
-          }
-        }
       });
-
-  if (config_.compute_oob) {
-    // parallel_for has joined; the lock is uncontended and exists so the
-    // annotated tally is read the same way it was written.
-    const check::MutexLock lock(oob.mu);
-    const std::vector<int>& oob_votes = oob.votes;
-    // Every tree casts at most one vote per row, so the tally can never
-    // exceed rows x trees; more would mean the merge double-counted.
-    STARLAB_INVARIANT(
-        std::accumulate(oob_votes.begin(), oob_votes.end(), std::int64_t{0}) <=
-            static_cast<std::int64_t>(data.size()) *
-                static_cast<std::int64_t>(trees_.size()),
-        "out-of-bag vote total exceeds rows x trees");
-    std::size_t voted = 0, correct = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      const auto* row_votes =
-          oob_votes.data() + i * static_cast<std::size_t>(num_classes_);
-      const int winner = static_cast<int>(
-          std::max_element(row_votes, row_votes + num_classes_) - row_votes);
-      if (row_votes[winner] == 0) continue;  // never out of bag
-      ++voted;
-      if (winner == data.label(i)) ++correct;
-    }
-    oob_accuracy_ = voted == 0 ? -1.0
-                               : static_cast<double>(correct) /
-                                     static_cast<double>(voted);
-  } else {
-    oob_accuracy_ = -1.0;
-  }
 }
 
 std::vector<double> RandomForest::predict_proba(

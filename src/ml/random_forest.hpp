@@ -20,9 +20,6 @@ struct ForestConfig {
   TreeConfig tree;          ///< tree.mtry <= 0 -> sqrt(num_features)
   double bootstrap_fraction = 1.0;
   std::uint64_t seed = 17;
-  /// Track out-of-bag votes during fit (costs one prediction per tree per
-  /// out-of-bag sample) and expose oob_accuracy().
-  bool compute_oob = false;
 };
 
 class RandomForest {
@@ -30,12 +27,6 @@ class RandomForest {
   explicit RandomForest(ForestConfig config = {}) : config_(config) {}
 
   void fit(const Dataset& data);
-
-  /// Out-of-bag accuracy estimate from the last fit, or a negative value if
-  /// config.compute_oob was false (or no sample was ever out of bag). OOB is
-  /// the forest's built-in generalization estimate — the property the paper
-  /// leans on when it calls random forests "robust to over-fitting".
-  [[nodiscard]] double oob_accuracy() const { return oob_accuracy_; }
 
   /// Soft-voted class probabilities.
   [[nodiscard]] std::vector<double> predict_proba(
@@ -55,7 +46,6 @@ class RandomForest {
   [[nodiscard]] const std::vector<DecisionTree>& trees() const {
     return trees_;
   }
-  [[nodiscard]] const ForestConfig& config() const { return config_; }
 
   /// Serialize the fitted forest (config + every tree) to a text stream —
   /// the "model release" format. Predictions of a loaded forest are
@@ -71,7 +61,6 @@ class RandomForest {
   std::vector<DecisionTree> trees_;
   std::size_t num_features_ = 0;
   int num_classes_ = 0;
-  double oob_accuracy_ = -1.0;
 };
 
 }  // namespace starlab::ml

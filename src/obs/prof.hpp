@@ -2,7 +2,8 @@
 
 // Hierarchical span-statistics profiler riding the obs::trace spans. Where
 // the TraceRecorder keeps every span as an event for a Chrome flame chart,
-// the Profiler aggregates spans *by call path* ("pipeline.run;exec.chunk"):
+// the Profiler aggregates spans *by call path*
+// ("pipeline.run;pipeline.identify"):
 // per-path call count, total and self wall-clock, min/max, and streaming
 // p50/p95 (Jain & Chlamtac's P-squared estimator, O(1) memory per path).
 // Export is a JSON profile report (consumed by tools/benchdiff's budget
@@ -54,7 +55,7 @@ class P2Quantile {
 /// prefixed by every enclosing span's name on the same thread, joined with
 /// ';' (the collapsed-stack convention); ';' is therefore reserved in span
 /// names. Spans opened on pool worker threads have no enclosing span there,
-/// so e.g. exec.chunk appears both nested under pipeline.run (the
+/// so e.g. exec.chunk appears both nested under campaign.run (the
 /// caller-participates chunk) and as a top-level path (worker chunks).
 struct SpanStats {
   std::string path;

@@ -22,7 +22,7 @@ std::optional<Pixel> MapGeometry::pixel_of(const SkyPoint& p) const {
   // Radius: 0 at zenith, radius_px at the rim elevation.
   const double r = (max_elevation - p.elevation()) /
                    (max_elevation - min_elevation) * radius_px;
-  const double az = geo::deg_to_rad(p.azimuth_deg);
+  const double az = geo::to_rad(p.azimuth()).value();
   // North (az 0) points up the image (-y); azimuth grows clockwise (+x east).
   const double x = center_x + r * std::sin(az);
   const double y = center_y - r * std::cos(az);

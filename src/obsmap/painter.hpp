@@ -72,7 +72,6 @@ class TrajectoryPainter {
              const ground::Terminal& terminal, double t_begin, double t_end,
              ObstructionMap& frame) const;
 
-  [[nodiscard]] const MapGeometry& geometry() const { return geometry_; }
 
  private:
   MapGeometry geometry_;
@@ -99,7 +98,6 @@ class MapRecorder {
   [[nodiscard]] const ObstructionMap& accumulated() const {
     return accumulated_;
   }
-  [[nodiscard]] const TrajectoryPainter& painter() const { return painter_; }
 
  private:
   const constellation::Catalog& catalog_;

@@ -129,13 +129,12 @@ DurableCampaignResult run_campaign_durable(const core::Scenario& scenario,
       config.faults.has_value() ? *config.faults : scenario.fault_plan();
 
   const std::size_t total = core::campaign_recorded_slots(scenario, config);
-  const std::size_t shard_slots = std::max<std::size_t>(1, durable.shard_slots);
   const std::size_t num_shards =
-      total == 0 ? 0 : (total + shard_slots - 1) / shard_slots;
+      total == 0 ? 0 : (total + kShardSlots - 1) / kShardSlots;
   result.shards = num_shards;
 
   const std::string header =
-      encode_campaign_header(scenario, config, shard_slots);
+      encode_campaign_header(scenario, config, kShardSlots);
   std::vector<std::optional<std::vector<core::SlotObs>>> shards(num_shards);
 
   // --- replay: recover completed shards from the journal ---
@@ -204,8 +203,8 @@ DurableCampaignResult run_campaign_durable(const core::Scenario& scenario,
   } shed_total;
   exec::default_pool().parallel_for(missing.size(), [&](std::size_t i) {
     const std::size_t shard = missing[i];
-    const std::size_t begin = shard * shard_slots;
-    const std::size_t end = std::min(total, begin + shard_slots);
+    const std::size_t begin = shard * kShardSlots;
+    const std::size_t end = std::min(total, begin + kShardSlots);
 
     std::vector<core::SlotObs> rows;
     std::size_t shed = 0;

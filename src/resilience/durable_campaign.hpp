@@ -29,13 +29,16 @@
 
 namespace starlab::resilience {
 
+/// Recorded slots per shard (the checkpoint granularity). Smaller shards
+/// lose less work to a crash and cost more journal appends.
+inline constexpr std::size_t kShardSlots = 16;
+
 struct DurableCampaignConfig {
+  /// Fault storms and pre-tripped rungs for the supervised shards.
+  // starlint:allow(option-reachability): test seam for task faults and rungs
   SupervisorConfig supervisor;
   /// Journal base path; empty runs supervised but unjournaled.
   std::string journal_path;
-  /// Recorded slots per shard (the checkpoint granularity). Smaller shards
-  /// lose less work to a crash and cost more journal appends.
-  std::size_t shard_slots = 16;
   std::uint64_t segment_bytes = 1u << 20;
   /// fdatasync per shard append (shed at kShedObservability).
   bool fsync = true;
@@ -43,6 +46,7 @@ struct DurableCampaignConfig {
   /// (removes any leftover journal first).
   bool resume = true;
   /// Crash gate for torn-write tests (non-owning; see fault::WriteKillPoint).
+  // starlint:allow(option-reachability): test seam that reaches a torn journal
   fault::WriteKillPoint* kill_point = nullptr;
 };
 

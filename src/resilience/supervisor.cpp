@@ -55,19 +55,14 @@ Supervisor::Supervisor(SupervisorConfig config)
 }
 
 DegradeLevel Supervisor::level_for(std::uint64_t failures) const {
-  const auto tripped = [failures](int threshold) {
-    return threshold > 0 && failures >= static_cast<std::uint64_t>(threshold);
-  };
-  if (tripped(config_.abstain_failures)) return DegradeLevel::kAbstain;
-  if (tripped(config_.widen_grid_failures)) return DegradeLevel::kWidenGrid;
-  if (tripped(config_.shed_obs_failures)) {
-    return DegradeLevel::kShedObservability;
-  }
+  if (failures >= kAbstainFailures) return DegradeLevel::kAbstain;
+  if (failures >= kWidenGridFailures) return DegradeLevel::kWidenGrid;
+  if (failures >= kShedObsFailures) return DegradeLevel::kShedObservability;
   return DegradeLevel::kNone;
 }
 
 DegradeLevel Supervisor::level() const {
-  return level_for(failures_.load(std::memory_order_relaxed));
+  return level_for(failures());
 }
 
 std::vector<std::string> Supervisor::events() const {

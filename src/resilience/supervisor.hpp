@@ -43,21 +43,20 @@ enum class DegradeLevel : int {
 
 [[nodiscard]] const char* degrade_level_name(DegradeLevel level);
 
+/// Cumulative failed attempts that trip each ladder rung.
+inline constexpr std::uint64_t kShedObsFailures = 8;
+inline constexpr std::uint64_t kWidenGridFailures = 16;
+inline constexpr std::uint64_t kAbstainFailures = 32;
+
 struct SupervisorConfig {
   /// Attempts per task before quarantine (>= 1).
   int max_attempts = 3;
 
-  /// Cumulative failed attempts that trip each ladder rung; <= 0 disables
-  /// the rung. Thresholds should be non-decreasing.
-  int shed_obs_failures = 8;
-  int widen_grid_failures = 16;
-  int abstain_failures = 32;
-
-  /// Start the failure counter here instead of 0 — an operational override
-  /// (resume a run already known to be degraded at the rung its failure
-  /// count implies) and the deterministic way for tests to exercise a
-  /// ladder rung without racing a fault storm. Rungs already tripped by
-  /// this value are not re-announced in the event log.
+  /// Start the failure counter here instead of 0 — the deterministic way
+  /// for tests to exercise a ladder rung without racing a fault storm.
+  /// Rungs already tripped by this value are not re-announced in the event
+  /// log.
+  // starlint:allow(option-reachability): test seam that starts a degraded rung
   std::uint64_t initial_failures = 0;
 
   /// Fault plan consulted per (task, attempt) to *simulate* task crashes
@@ -102,7 +101,6 @@ class Supervisor {
   /// Chronological decision log (copies under the lock).
   [[nodiscard]] std::vector<std::string> events() const EXCLUDES(mu_);
 
-  [[nodiscard]] const SupervisorConfig& config() const { return config_; }
 
  private:
   void note(std::string event) EXCLUDES(mu_);

@@ -16,33 +16,27 @@ namespace starlab::rf {
 /// Boltzmann constant [dBW/K/Hz].
 inline constexpr double kBoltzmannDbw = -228.6;
 
-/// One direction of a radio link.
-struct LinkParams {
-  double eirp_dbw = 36.0;        ///< transmit EIRP
-  double rx_gain_dbi = 33.0;     ///< receive antenna gain
-  double frequency_ghz = 12.0;   ///< carrier (Ku-band user downlink)
-  double bandwidth_mhz = 240.0;  ///< channel bandwidth
-  double noise_temp_k = 290.0;   ///< receiver system noise temperature
-  double misc_losses_db = 2.0;   ///< pointing, polarization, atmosphere
-};
-
-/// Starlink-like Ku user downlink (satellite -> dish).
-[[nodiscard]] LinkParams ku_user_downlink();
+/// The Starlink-like Ku user downlink (satellite -> dish).
+inline constexpr double kEirpDbw = 36.0;        ///< transmit EIRP
+inline constexpr double kRxGainDbi = 33.0;      ///< receive antenna gain
+inline constexpr double kFrequencyGhz = 12.0;   ///< Ku-band carrier
+inline constexpr double kBandwidthMhz = 240.0;  ///< channel bandwidth
+inline constexpr double kNoiseTempK = 290.0;    ///< receiver noise temperature
+/// Pointing, polarization and atmospheric losses.
+inline constexpr double kMiscLossesDb = 2.0;
 
 /// Free-space path loss [dB] for a slant range and carrier frequency.
 [[nodiscard]] double fspl_db(geo::Km range, double frequency_ghz);
 
 /// Received carrier power [dBW] at the given slant range.
-[[nodiscard]] double received_power_dbw(const LinkParams& link,
-                                        geo::Km range);
+[[nodiscard]] double received_power_dbw(geo::Km range);
 
 /// Carrier-to-noise ratio [dB] at the given slant range.
-[[nodiscard]] double cn_db(const LinkParams& link, geo::Km range);
+[[nodiscard]] double cn_db(geo::Km range);
 
 /// Shannon-bounded link capacity [Mbit/s] at the given slant range, scaled
 /// by an implementation efficiency in (0, 1].
-[[nodiscard]] double shannon_capacity_mbps(const LinkParams& link,
-                                           geo::Km range,
+[[nodiscard]] double shannon_capacity_mbps(geo::Km range,
                                            double efficiency = 0.65);
 
 }  // namespace starlab::rf

@@ -76,7 +76,7 @@ double GlobalScheduler::score(const ground::Candidate& c,
 
   return weights_.elevation * el_norm + weights_.north * north_norm +
          weights_.recency * age_norm + sunlit_term - dark_range_term -
-         weights_.load_penalty * load + weights_.noise * gumbel;
+         kLoadPenalty * load + weights_.noise * gumbel;
 }
 
 std::optional<Allocation> GlobalScheduler::allocate(
@@ -120,7 +120,7 @@ std::optional<Allocation> GlobalScheduler::allocate_from(
   // sunlit alternatives.
   const double dark_fraction = static_cast<double>(dark) / usable;
   const bool dark_allowed =
-      sunlit == 0 || dark_fraction >= weights_.dark_fraction_floor;
+      sunlit == 0 || dark_fraction >= kDarkFractionFloor;
 
   const ground::Candidate* best = nullptr;
   double best_score = -1e300;

@@ -41,13 +41,15 @@ struct SchedulerWeights {
   double recency = 0.5;         ///< reward for recent launch date
   double sunlit = 0.2;          ///< bonus when the satellite is in sunlight
   double dark_range_penalty = 2.6;  ///< penalty for *dark* satellites low in the sky
-  double load_penalty = 0.8;    ///< penalty per unit of satellite load
   double noise = 0.55;          ///< Gumbel decision-noise scale (unobservable inputs)
-  /// Energy-budget gate (§5.3): dark satellites are not considered at all
-  /// unless at least this fraction of the slot's candidates is dark — the
-  /// scheduler only dips into battery power when it has little choice.
-  double dark_fraction_floor = 0.35;
 };
+
+/// Penalty per unit of satellite load.
+inline constexpr double kLoadPenalty = 0.8;
+/// Energy-budget gate (§5.3): dark satellites are not considered at all
+/// unless at least this fraction of the slot's candidates is dark — the
+/// scheduler only dips into battery power when it has little choice.
+inline constexpr double kDarkFractionFloor = 0.35;
 
 /// One allocation decision, as recorded by the oracle's trace. Everything in
 /// here except `catalog_index`/`norad_id` is also observable externally; the
@@ -102,7 +104,6 @@ class GlobalScheduler {
   }
 
   [[nodiscard]] const time::SlotGrid& grid() const { return grid_; }
-  [[nodiscard]] const SchedulerWeights& weights() const { return weights_; }
   [[nodiscard]] const constellation::Catalog& catalog() const {
     return catalog_;
   }

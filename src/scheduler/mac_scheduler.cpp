@@ -11,8 +11,8 @@ int MacScheduler::cycle_length(int norad_id, time::SlotIndex slot) const {
   const double u = uniform01(mix_keys(seed_, 0xc7c1eULL,
                                       static_cast<std::uint64_t>(norad_id),
                                       static_cast<std::uint64_t>(slot)));
-  const int span = config_.max_cycle - config_.min_cycle + 1;
-  return config_.min_cycle + static_cast<int>(u * span);
+  const int span = kMaxCycle - kMinCycle + 1;
+  return kMinCycle + static_cast<int>(u * span);
 }
 
 int MacScheduler::rotation_position(int norad_id, std::uint64_t terminal_key,
@@ -32,7 +32,7 @@ int MacScheduler::rotation_position(int norad_id, std::uint64_t terminal_key,
 }
 
 double MacScheduler::miss_probability_for(Priority priority) const {
-  double p = config_.miss_probability;
+  double p = kMissProbability;
   if (priority == Priority::kPriority) p *= 0.5;
   if (priority == Priority::kBestEffort) p *= 1.5;
   return std::min(p, 0.95);
@@ -67,10 +67,10 @@ double MacScheduler::queuing_delay_ms(int norad_id, std::uint64_t terminal_key,
                                       Priority priority) const {
   const int band = band_of_probe(norad_id, terminal_key, slot, probe_seq, priority);
   const double jitter =
-      config_.intra_band_jitter_ms *
+      kIntraBandJitterMs *
       uniform01(mix_keys(seed_ ^ 0x717e4ULL, terminal_key,
                          static_cast<std::uint64_t>(slot), probe_seq));
-  return band * config_.frame_interval_ms + jitter;
+  return band * kFrameIntervalMs + jitter;
 }
 
 }  // namespace starlab::scheduler

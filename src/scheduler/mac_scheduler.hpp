@@ -29,18 +29,16 @@ enum class Priority {
   kBestEffort,
 };
 
-struct MacConfig {
-  double frame_interval_ms = 1.33;  ///< one radio frame (Ku-band frame time)
-  int min_cycle = 2;                ///< terminals sharing the beam, lower bound
-  int max_cycle = 8;                ///< and upper bound (load dependent)
-  double miss_probability = 0.45;   ///< P(a grant is missed -> next band up)
-  double intra_band_jitter_ms = 0.18;  ///< spread within one band
-};
-
 class MacScheduler {
  public:
-  explicit MacScheduler(MacConfig config = {}, std::uint64_t seed = 11)
-      : config_(config), seed_(seed) {}
+  static constexpr double kFrameIntervalMs = 1.33;  ///< one Ku-band radio frame
+  /// Terminals sharing the beam: bounds of the load-dependent cycle.
+  static constexpr int kMinCycle = 2;
+  static constexpr int kMaxCycle = 8;
+  static constexpr double kMissProbability = 0.45;  ///< P(grant missed)
+  static constexpr double kIntraBandJitterMs = 0.18;  ///< spread in one band
+
+  explicit MacScheduler(std::uint64_t seed = 11) : seed_(seed) {}
 
   /// Number of terminals sharing the frame cycle on `norad_id` during
   /// `slot` (a function of the satellite's load).
@@ -71,10 +69,7 @@ class MacScheduler {
   /// best-effort adds half again, clamped to [0, 0.95]).
   [[nodiscard]] double miss_probability_for(Priority priority) const;
 
-  [[nodiscard]] const MacConfig& config() const { return config_; }
-
  private:
-  MacConfig config_;
   std::uint64_t seed_;
 };
 

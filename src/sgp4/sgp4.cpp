@@ -34,14 +34,12 @@ CommonConstants init_common_constants(const tle::Tle& tle) {
   c.bstar = tle.bstar;
 
   if (c.ecco < 0.0 || c.ecco >= 1.0) {
-    throw Sgp4Error(Sgp4Error::Code::kEccentricityOutOfRange,
-                    "TLE eccentricity outside [0,1)");
+    throw Sgp4Error("TLE eccentricity outside [0,1)");
   }
   const double no_kozai =
       tle.mean_motion_rev_per_day * kTwoPi / time::kMinutesPerDay;  // rad/min
   if (no_kozai <= 0.0) {
-    throw Sgp4Error(Sgp4Error::Code::kMeanMotionNonPositive,
-                    "TLE mean motion must be positive");
+    throw Sgp4Error("TLE mean motion must be positive");
   }
 
   // ---- initl: recover the Brouwer mean motion from the Kozai value. ----
@@ -68,8 +66,7 @@ CommonConstants init_common_constants(const tle::Tle& tle) {
   const double rp = c.ao * (1.0 - c.ecco);
 
   if (kTwoPi / c.no_unkozai >= 225.0) {
-    throw Sgp4Error(Sgp4Error::Code::kDeepSpaceUnsupported,
-                    "deep-space (period >= 225 min) element sets are not "
+    throw Sgp4Error("deep-space (period >= 225 min) element sets are not "
                     "supported; Starlink shells are all near-Earth");
   }
 
@@ -307,15 +304,13 @@ StateVector propagate_or_throw(const CommonConstants& c, double tsince_minutes) 
     case PropagateStatus::kOk:
       return out;
     case PropagateStatus::kEccentricityOutOfRange:
-      throw Sgp4Error(Sgp4Error::Code::kEccentricityOutOfRange,
-                      "propagated eccentricity outside SGP4 domain");
+      throw Sgp4Error("propagated eccentricity outside SGP4 domain");
     case PropagateStatus::kNegativeSemiLatusRectum:
-      throw Sgp4Error(Sgp4Error::Code::kNegativeSemiLatusRectum,
-                      "semi-latus rectum went negative");
+      throw Sgp4Error("semi-latus rectum went negative");
     case PropagateStatus::kDecayed:
-      throw Sgp4Error(Sgp4Error::Code::kDecayed, "satellite has decayed");
+      throw Sgp4Error("satellite has decayed");
   }
-  throw Sgp4Error(Sgp4Error::Code::kDecayed, "unreachable propagate status");
+  throw Sgp4Error("unreachable propagate status");
 }
 
 }  // namespace starlab::sgp4

@@ -37,22 +37,7 @@ namespace starlab::sgp4 {
 /// decay, eccentricity blow-up from drag).
 class Sgp4Error : public std::runtime_error {
  public:
-  enum class Code {
-    kDeepSpaceUnsupported,
-    kEccentricityOutOfRange,
-    kMeanMotionNonPositive,
-    kNegativeSemiLatusRectum,
-    kKeplerNonConvergence,
-    kDecayed,
-  };
-
-  Sgp4Error(Code code, const std::string& what)
-      : std::runtime_error(what), code_(code) {}
-
-  [[nodiscard]] Code code() const { return code_; }
-
- private:
-  Code code_;
+  using std::runtime_error::runtime_error;
 };
 
 /// Position/velocity state in TEME.
@@ -134,7 +119,6 @@ class Sgp4 {
   }
 
   /// Element-set epoch.
-  [[nodiscard]] const time::JulianDate& epoch() const { return c_.epoch; }
 
   /// The precomputed constant set (e.g. for structure-of-arrays storage).
   [[nodiscard]] const CommonConstants& constants() const { return c_; }

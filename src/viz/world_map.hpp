@@ -22,8 +22,6 @@ class WorldMap {
   /// Render with a simple frame and equator/meridian rules.
   [[nodiscard]] std::string render() const;
 
-  [[nodiscard]] int width() const { return width_; }
-  [[nodiscard]] int height() const { return height_; }
   /// Character at a cell (row 0 == +90 lat edge); for tests.
   [[nodiscard]] char at(int row, int col) const {
     return grid_[static_cast<std::size_t>(row)][static_cast<std::size_t>(col)];

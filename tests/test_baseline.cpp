@@ -14,7 +14,7 @@ TEST(Baseline, RanksByCount) {
   EXPECT_EQ(ranked[0], 1);
   EXPECT_EQ(ranked[1], 2);
   EXPECT_EQ(ranked[2], 0);
-  EXPECT_EQ(baseline.predict(features), 1);
+  EXPECT_EQ(baseline.ranked_classes(features).front(), 1);
 }
 
 TEST(Baseline, StableOrderOnTies) {
@@ -28,7 +28,7 @@ TEST(Baseline, IgnoresNonCountColumns) {
   const PopularityBaseline baseline(2, 2);
   // First two columns are huge but must be ignored.
   const std::vector<double> features{1e9, 1e9, 1.0, 5.0};
-  EXPECT_EQ(baseline.predict(features), 1);
+  EXPECT_EQ(baseline.ranked_classes(features).front(), 1);
 }
 
 TEST(Baseline, ZeroCountsStillRankAll) {

@@ -31,8 +31,10 @@ TEST(Bootstrap, CiWidthShrinksWithSampleSize) {
   std::mt19937_64 rng(3);
   const auto small = normal_sample(10.0, 3.0, 50, 4);
   const auto large = normal_sample(10.0, 3.0, 5000, 5);
-  const double w_small = bootstrap_median_ci(small, rng).width();
-  const double w_large = bootstrap_median_ci(large, rng).width();
+  const BootstrapCi ci_small = bootstrap_median_ci(small, rng);
+  const BootstrapCi ci_large = bootstrap_median_ci(large, rng);
+  const double w_small = ci_small.hi - ci_small.lo;
+  const double w_large = ci_large.hi - ci_large.lo;
   EXPECT_LT(w_large, w_small);
 }
 
@@ -42,7 +44,7 @@ TEST(Bootstrap, WiderAlphaNarrowerInterval) {
   const BootstrapCi ci95 = bootstrap_median_ci(sample, rng, 1500, 0.05);
   std::mt19937_64 rng2(7);
   const BootstrapCi ci50 = bootstrap_median_ci(sample, rng2, 1500, 0.5);
-  EXPECT_LT(ci50.width(), ci95.width());
+  EXPECT_LT(ci50.hi - ci50.lo, ci95.hi - ci95.lo);
 }
 
 TEST(Bootstrap, CustomStatistic) {
@@ -68,7 +70,7 @@ TEST(Bootstrap, MedianDiffCi) {
 TEST(Bootstrap, DegenerateInputsAreSafe) {
   std::mt19937_64 rng(13);
   const BootstrapCi empty = bootstrap_median_ci({}, rng);
-  EXPECT_DOUBLE_EQ(empty.width(), 0.0);
+  EXPECT_DOUBLE_EQ(empty.hi - empty.lo, 0.0);
   const std::vector<double> one{7.0};
   const BootstrapCi single = bootstrap_median_ci(one, rng);
   EXPECT_DOUBLE_EQ(single.point, 7.0);

@@ -1,7 +1,9 @@
 // Tests for starlint's call-graph layer: the function/mutex indexer
 // (extents, qualified names, lambdas, markers), the hot-path purity rules
 // over the fixtures in tests/lint_fixtures/, suppression and allowlist
-// edge cases, the lock-order cycle detector, and the reachability rule.
+// edge cases, the lock-order cycle detector, and the reachability and
+// option-reachability rules (multi-file fixtures, one `// === path` section
+// per file).
 
 #include <gtest/gtest.h>
 
@@ -446,6 +448,106 @@ TEST(ReachabilityTest, DeadAnonHelperOfDeadFunctionIsFlagged) {
   files.push_back(SourceFile("examples/x.cpp", "int main() { o::live(); }\n"));
   EXPECT_EQ(unreached(files),
             (std::vector<std::string>{"o::(anon)::escape", "o::exposition"}));
+}
+
+/// A fixture of several files: each `// === <path>` line starts the next
+/// one, reported under that path.
+std::vector<SourceFile> sectioned_fixture(const std::string& name) {
+  const std::string text =
+      SourceFile::load(kFixtures + "/" + name, name).raw();
+  const std::string marker = "// === ";
+  std::vector<SourceFile> files;
+  for (std::size_t at = text.find(marker); at != std::string::npos;) {
+    const std::size_t eol = text.find('\n', at);
+    const std::size_t next = text.find(marker, eol);
+    const std::size_t body_end =
+        next == std::string::npos ? text.size() : next;
+    files.emplace_back(
+        text.substr(at + marker.size(), eol - at - marker.size()),
+        text.substr(eol + 1, body_end - eol - 1));
+    at = next;
+  }
+  return files;
+}
+
+TEST(ReachabilityTest, SameNamedParameterOrLocalIsNotAUse) {
+  EXPECT_EQ(unreached(sectioned_fixture("reach_param_name.cpp")),
+            (std::vector<std::string>{"fix::Sink::flush",
+                                      "fix::Token::cancel"}));
+}
+
+// --- option-reachability ----------------------------------------------------
+
+/// `Owner::member` of every member the option-reachability rule flags.
+std::vector<std::string> constant_members(const std::string& fixture) {
+  const std::vector<SourceFile> files = sectioned_fixture(fixture);
+  const CallGraph graph(files, test_hotpath_config());
+  std::vector<std::string> names;
+  for (const Finding& f : graph.option_reachability_findings()) {
+    EXPECT_EQ(f.rule, "option-reachability");
+    const std::size_t open = f.message.find('\'');
+    names.push_back(f.message.substr(
+        open + 1, f.message.find('\'', open + 1) - open - 1));
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(OptionReachabilityTest, SetOnlyFromTestsIsFlagged) {
+  EXPECT_EQ(constant_members("option_set_in_tests.cpp"),
+            std::vector<std::string>{"fix::Options::verbose"});
+}
+
+TEST(OptionReachabilityTest, DesignatedInitializerWritesItsMember) {
+  EXPECT_EQ(constant_members("option_designated.cpp"),
+            std::vector<std::string>{"fix::DtwConfig::window"});
+}
+
+TEST(OptionReachabilityTest, PositionalAggregateWritesLeadingMembers) {
+  EXPECT_EQ(constant_members("option_positional.cpp"),
+            std::vector<std::string>{"fix::Config::trace"});
+}
+
+TEST(OptionReachabilityTest, ConstructorInitListWrites) {
+  EXPECT_EQ(constant_members("option_init_list.cpp"),
+            std::vector<std::string>{"fix::Pool::spare_"});
+}
+
+TEST(OptionReachabilityTest, NestedMemberWriteWritesTheOuterMember) {
+  EXPECT_EQ(constant_members("option_nested.cpp"),
+            std::vector<std::string>{"fix::Ablation::label"});
+}
+
+TEST(OptionReachabilityTest, MutatingMemberCallWrites) {
+  EXPECT_EQ(constant_members("option_push_back.cpp"),
+            std::vector<std::string>{"fix::Scenario::sites"});
+}
+
+TEST(OptionReachabilityTest, StreamExtractionWrites) {
+  EXPECT_EQ(constant_members("option_extraction.cpp"),
+            std::vector<std::string>{"fix::Row::weight"});
+}
+
+TEST(OptionReachabilityTest, AllowNeedsAReason) {
+  const auto findings = [](const std::string& allow) {
+    std::vector<SourceFile> files;
+    files.emplace_back("src/resilience/x.hpp",
+                       "namespace r {\n"
+                       "struct Config {\n"
+                       "  " + allow + "\n"
+                       "  int kill_point = -1;\n"
+                       "};\n"
+                       "}\n");
+    const CallGraph graph(files, test_hotpath_config());
+    return graph.option_reachability_findings();
+  };
+  EXPECT_TRUE(
+      findings("// starlint:allow(option-reachability): crash-test seam")
+          .empty());
+  const std::vector<Finding> bare =
+      findings("// starlint:allow(option-reachability)");
+  ASSERT_EQ(bare.size(), 1u);
+  EXPECT_NE(bare[0].message.find("gives no reason"), std::string::npos);
 }
 
 // --- CallGraph object surface -----------------------------------------------

@@ -19,18 +19,17 @@ namespace {
 
 using starlab::testing::tiny_scenario;
 
-/// 12 recorded slots x 4 terminals — big enough for several shards, small
-/// enough that the kill-offset sweep stays fast.
+/// 62 recorded slots x 4 terminals — four shards, small enough that the
+/// kill-offset sweep stays fast.
 core::CampaignConfig short_campaign() {
   core::CampaignConfig config;
-  config.duration_hours = 0.05;
+  config.duration_hours = 0.26;
   return config;
 }
 
 DurableCampaignConfig durable_config(const std::string& journal) {
   DurableCampaignConfig config;
   config.journal_path = journal;
-  config.shard_slots = 3;  // 12 records -> 4 shards
   return config;
 }
 
@@ -181,10 +180,6 @@ TEST(CampaignResume, FaultStormQuarantinesShardsIntoFlaggedGaps) {
   cfg.supervisor.max_attempts = 2;
   cfg.supervisor.faults.intensity = 1.0;
   cfg.supervisor.faults.exec.task_fail_rate = 1.0;
-  cfg.supervisor.shed_obs_failures = 0;  // isolate quarantine behavior
-  cfg.supervisor.widen_grid_failures = 0;
-  cfg.supervisor.abstain_failures = 0;
-  cfg.shard_slots = 3;
   const DurableCampaignResult r =
       run_campaign_durable(tiny_scenario(), short_campaign(), cfg);
   EXPECT_EQ(r.quarantined_shards, r.shards);
@@ -214,9 +209,6 @@ TEST(CampaignResume, QuarantinedGapsAreJournaledAndResumeIdentically) {
   cfg.supervisor.max_attempts = 1;
   cfg.supervisor.faults.intensity = 1.0;
   cfg.supervisor.faults.exec.task_fail_rate = 1.0;
-  cfg.supervisor.shed_obs_failures = 0;
-  cfg.supervisor.widen_grid_failures = 0;
-  cfg.supervisor.abstain_failures = 0;
   const DurableCampaignResult stormy =
       run_campaign_durable(tiny_scenario(), short_campaign(), cfg);
   EXPECT_EQ(stormy.quarantined_shards, stormy.shards);
@@ -234,10 +226,8 @@ TEST(CampaignResume, AbstainLevelShedsEveryRecord) {
   cfg.supervisor.max_attempts = 1;
   cfg.supervisor.faults.intensity = 1.0;
   cfg.supervisor.faults.exec.task_fail_rate = 1.0;
-  cfg.supervisor.shed_obs_failures = 1;
-  cfg.supervisor.widen_grid_failures = 1;
-  cfg.supervisor.abstain_failures = 1;  // first failure jumps to abstain
-  cfg.shard_slots = 3;
+  cfg.supervisor.initial_failures = kAbstainFailures - 1;  // first failure
+                                                           // jumps to abstain
   const DurableCampaignResult r =
       run_campaign_durable(tiny_scenario(), short_campaign(), cfg);
   EXPECT_EQ(r.final_level, DegradeLevel::kAbstain);
@@ -257,9 +247,7 @@ TEST(CampaignResume, WidenGridLevelComputesEveryOtherRecord) {
   // kWidenGrid (no fault storm to race). Even records of each shard must
   // match the plain run bit for bit; odd records degrade to kShedSlot gaps.
   DurableCampaignConfig cfg;
-  cfg.shard_slots = 3;
-  cfg.supervisor.initial_failures =
-      static_cast<std::uint64_t>(cfg.supervisor.widen_grid_failures);
+  cfg.supervisor.initial_failures = kWidenGridFailures;
   const DurableCampaignResult r =
       run_campaign_durable(tiny_scenario(), short_campaign(), cfg);
   EXPECT_EQ(r.final_level, DegradeLevel::kWidenGrid);
@@ -276,7 +264,7 @@ TEST(CampaignResume, WidenGridLevelComputesEveryOtherRecord) {
     const core::SlotObs& got = r.data.slots[i];
     const core::SlotObs& want = plain.slots[i];
     EXPECT_EQ(got.slot, want.slot);
-    if (record % cfg.shard_slots % 2 == 0) {  // computed record
+    if (record % kShardSlots % 2 == 0) {  // computed record
       EXPECT_EQ(got.chosen, want.chosen);
       EXPECT_EQ(got.quality, want.quality);
       EXPECT_EQ(got.unix_mid, want.unix_mid);
@@ -292,9 +280,7 @@ TEST(CampaignResume, WidenGridLevelComputesEveryOtherRecord) {
 
 TEST(CampaignResume, AbstainLevelComputesNothing) {
   DurableCampaignConfig cfg;
-  cfg.shard_slots = 3;
-  cfg.supervisor.initial_failures =
-      static_cast<std::uint64_t>(cfg.supervisor.abstain_failures);
+  cfg.supervisor.initial_failures = kAbstainFailures;
   const DurableCampaignResult r =
       run_campaign_durable(tiny_scenario(), short_campaign(), cfg);
   EXPECT_EQ(r.final_level, DegradeLevel::kAbstain);
@@ -310,8 +296,7 @@ TEST(CampaignResume, AbstainLevelComputesNothing) {
 TEST(CampaignResume, ShedGapsResumeByteIdenticallyFromTheJournal) {
   const std::string path = journal_path("shed_resume");
   DurableCampaignConfig cfg = durable_config(path);
-  cfg.supervisor.initial_failures =
-      static_cast<std::uint64_t>(cfg.supervisor.widen_grid_failures);
+  cfg.supervisor.initial_failures = kWidenGridFailures;
   const DurableCampaignResult degraded =
       run_campaign_durable(tiny_scenario(), short_campaign(), cfg);
   // Resume healthy: journaled shed gaps replay verbatim.
@@ -385,9 +370,6 @@ TEST(CampaignResume, SupervisedInferredCampaignQuarantinesFaultyTerminals) {
   sup.max_attempts = 1;
   sup.faults.intensity = 1.0;
   sup.faults.exec.task_fail_rate = 1.0;
-  sup.shed_obs_failures = 0;
-  sup.widen_grid_failures = 0;
-  sup.abstain_failures = 0;
   const core::CampaignData data =
       run_inferred_campaign_supervised(pipeline, 120.0, sup);
   EXPECT_TRUE(data.slots.empty());  // every terminal quarantined
@@ -399,7 +381,7 @@ TEST(CampaignResume, SupervisedInferredCampaignQuarantinesFaultyTerminals) {
 TEST(CampaignResume, SupervisedInferredCampaignAbstainsAtTheTopRung) {
   const core::InferencePipeline pipeline(tiny_scenario());
   SupervisorConfig sup;
-  sup.initial_failures = static_cast<std::uint64_t>(sup.abstain_failures);
+  sup.initial_failures = kAbstainFailures;
   const core::CampaignData data =
       run_inferred_campaign_supervised(pipeline, 120.0, sup);
   // Every terminal is skipped before its first attempt.

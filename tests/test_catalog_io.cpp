@@ -105,7 +105,7 @@ TEST(CatalogIo, LenientMatchesStrictOnCleanInput) {
   const std::vector<Tle> cat =
       read_catalog_string_lenient(kThreeLine + kThreeLine, report);
   EXPECT_EQ(cat.size(), 2u);
-  EXPECT_TRUE(report.clean());
+  EXPECT_TRUE(report.issues.empty());
   EXPECT_EQ(report.records_ok, 2u);
   EXPECT_EQ(report.records_skipped, 0u);
 }

@@ -27,7 +27,6 @@ TEST(Dataset, BasicAccessors) {
   EXPECT_DOUBLE_EQ(d.row(2)[1], 6.0);
   EXPECT_EQ(d.label(3), 1);
   EXPECT_EQ(d.feature_names()[1], "f1");
-  EXPECT_EQ(d.class_names()[2], "c");
 }
 
 TEST(Dataset, NumClassesInferredWithoutNames) {

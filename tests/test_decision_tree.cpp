@@ -13,6 +13,13 @@
 namespace starlab::ml {
 namespace {
 
+/// The tree's most probable class: the argmax of predict_proba.
+int predict(const DecisionTree& tree, std::span<const double> features) {
+  const std::vector<double> proba = tree.predict_proba(features);
+  return static_cast<int>(
+      std::max_element(proba.begin(), proba.end()) - proba.begin());
+}
+
 /// Two well-separated Gaussian blobs in 2-d.
 Dataset blobs(int n_per_class, unsigned seed, double separation = 4.0) {
   Dataset d(2, {"x", "y"}, {"left", "right"});
@@ -44,8 +51,8 @@ TEST(DecisionTree, SeparatesBlobs) {
   DecisionTree tree;
   tree.fit(d, rng);
 
-  EXPECT_EQ(tree.predict(std::vector<double>{-1.0, 0.0}), 0);
-  EXPECT_EQ(tree.predict(std::vector<double>{5.0, 0.0}), 1);
+  EXPECT_EQ(predict(tree, std::vector<double>{-1.0, 0.0}), 0);
+  EXPECT_EQ(predict(tree, std::vector<double>{5.0, 0.0}), 1);
 }
 
 TEST(DecisionTree, LearnsXor) {
@@ -54,10 +61,10 @@ TEST(DecisionTree, LearnsXor) {
   DecisionTree tree;
   tree.fit(d, rng);
 
-  EXPECT_EQ(tree.predict(std::vector<double>{0.1, 0.1}), 0);
-  EXPECT_EQ(tree.predict(std::vector<double>{0.9, 0.9}), 0);
-  EXPECT_EQ(tree.predict(std::vector<double>{0.1, 0.9}), 1);
-  EXPECT_EQ(tree.predict(std::vector<double>{0.9, 0.1}), 1);
+  EXPECT_EQ(predict(tree, std::vector<double>{0.1, 0.1}), 0);
+  EXPECT_EQ(predict(tree, std::vector<double>{0.9, 0.9}), 0);
+  EXPECT_EQ(predict(tree, std::vector<double>{0.1, 0.9}), 1);
+  EXPECT_EQ(predict(tree, std::vector<double>{0.9, 0.1}), 1);
   EXPECT_GE(tree.depth(), 2);
 }
 
@@ -114,7 +121,7 @@ TEST(DecisionTree, TrainingAccuracyHighOnSeparableData) {
   tree.fit(d, rng);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < d.size(); ++i) {
-    if (tree.predict(d.row(i)) == d.label(i)) ++correct;
+    if (predict(tree, d.row(i)) == d.label(i)) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) / d.size(), 0.97);
 }
@@ -160,7 +167,7 @@ TEST(DecisionTree, BootstrapIndicesWithMultiplicity) {
   std::mt19937_64 rng(18);
   DecisionTree tree;
   tree.fit(d, only_zero, rng);
-  EXPECT_EQ(tree.predict(std::vector<double>{4.0, 0.0}), 0);
+  EXPECT_EQ(predict(tree, std::vector<double>{4.0, 0.0}), 0);
 }
 
 // --- Differential check against the per-node-sort builder -----------------
@@ -472,7 +479,6 @@ TEST(DecisionTreeDifferential, ForestTreesEqualTreesFittedAlone) {
   cfg.num_trees = 6;
   cfg.seed = 41;
   cfg.tree.mtry = 15;
-  cfg.compute_oob = true;
   RandomForest forest(cfg);
   forest.fit(data);
   ASSERT_EQ(forest.trees().size(), 6u);

@@ -45,15 +45,6 @@ TEST(Ecdf, MonotoneNonDecreasing) {
   }
 }
 
-TEST(Ecdf, QuantileInvertsRoughly) {
-  std::vector<double> v;
-  for (int i = 1; i <= 100; ++i) v.push_back(static_cast<double>(i));
-  const Ecdf e(v);
-  EXPECT_NEAR(e.quantile(0.5), 51.0, 1.0);
-  EXPECT_NEAR(e.quantile(0.9), 91.0, 1.0);
-  EXPECT_DOUBLE_EQ(e.quantile(0.0), 1.0);
-}
-
 TEST(Ecdf, SeriesCoversRange) {
   const std::vector<double> v{10.0, 20.0, 30.0};
   const Ecdf e(v);

@@ -288,28 +288,23 @@ TEST(ExecDeterminism, ForestBitIdenticalAcrossThreadCounts) {
   ml::ForestConfig cfg;
   cfg.num_trees = 24;
   cfg.seed = 99;
-  cfg.compute_oob = true;
 
-  const auto fit_and_serialize = [&](double& oob) {
+  const auto fit_and_serialize = [&] {
     ml::RandomForest forest(cfg);
     forest.fit(data);
-    oob = forest.oob_accuracy();
     std::ostringstream out;
     forest.save(out);
     return out.str();
   };
 
   exec::configure({1});
-  double oob_baseline = 0.0;
-  const std::string baseline = fit_and_serialize(oob_baseline);
+  const std::string baseline = fit_and_serialize();
   ASSERT_FALSE(baseline.empty());
 
   for (const int nt : kThreadCounts) {
     exec::configure({nt});
-    double oob = 0.0;
-    const std::string model = fit_and_serialize(oob);
-    EXPECT_EQ(model, baseline) << "threads=" << nt;  // byte-for-byte
-    EXPECT_EQ(oob, oob_baseline) << "threads=" << nt;
+    // Byte for byte.
+    EXPECT_EQ(fit_and_serialize(), baseline) << "threads=" << nt;
   }
 }
 

@@ -241,12 +241,11 @@ void expect_matches_full_scoring(const core::Scenario& sc,
 /// A §4.1 geometry recovered from a short fill, which lands off the
 /// published (61, 61)/45 px layout.
 const obsmap::MapGeometry& recovered_geometry() {
-  static const obsmap::MapGeometry geometry = [] {
-    core::PipelineConfig cfg;
-    cfg.recover_geometry = true;
-    cfg.fill_hours = 2.0;
-    return core::InferencePipeline(tiny_scenario(), cfg).geometry();
-  }();
+  static const obsmap::MapGeometry geometry =
+      core::InferencePipeline::recover_geometry_via_fill(tiny_scenario(), 0,
+                                                         2.0)
+          .value()
+          .geometry;
   return geometry;
 }
 

@@ -16,8 +16,8 @@ TEST(MacScheduler, CycleLengthWithinConfiguredBounds) {
   for (int id = 44000; id < 44100; ++id) {
     for (time::SlotIndex s = 0; s < 10; ++s) {
       const int c = mac.cycle_length(id, s);
-      EXPECT_GE(c, mac.config().min_cycle);
-      EXPECT_LE(c, mac.config().max_cycle);
+      EXPECT_GE(c, MacScheduler::kMinCycle);
+      EXPECT_LE(c, MacScheduler::kMaxCycle);
     }
   }
 }
@@ -46,12 +46,12 @@ TEST(MacScheduler, DelaysFormDiscreteBands) {
   std::set<int> bands;
   for (std::uint64_t p = 0; p < 750; ++p) {  // one slot of 20 ms probes
     const double d = mac.queuing_delay_ms(44000, kTerminal, 42, p);
-    const double band = d / mac.config().frame_interval_ms;
+    const double band = d / MacScheduler::kFrameIntervalMs;
     bands.insert(static_cast<int>(std::floor(band + 1e-9)));
     // Intra-band spread must stay below the configured jitter.
     const double frac = band - std::floor(band);
-    EXPECT_LT(frac * mac.config().frame_interval_ms,
-              mac.config().intra_band_jitter_ms + 1e-9);
+    EXPECT_LT(frac * MacScheduler::kFrameIntervalMs,
+              MacScheduler::kIntraBandJitterMs + 1e-9);
   }
   EXPECT_GE(bands.size(), 2u);   // more than one visible band
   EXPECT_LE(bands.size(), 12u);  // but a small discrete set
@@ -122,26 +122,9 @@ TEST(MacScheduler, DelayIsNonNegativeAndBounded) {
     EXPECT_GE(d, 0.0);
     // max band = max_cycle - 1 + 4 * max_cycle.
     const double bound =
-        (5.0 * mac.config().max_cycle) * mac.config().frame_interval_ms +
-        mac.config().intra_band_jitter_ms;
+        (5.0 * MacScheduler::kMaxCycle) * MacScheduler::kFrameIntervalMs +
+        MacScheduler::kIntraBandJitterMs;
     EXPECT_LE(d, bound);
-  }
-}
-
-TEST(MacScheduler, CustomConfigRespected) {
-  MacConfig cfg;
-  cfg.frame_interval_ms = 2.0;
-  cfg.min_cycle = 3;
-  cfg.max_cycle = 3;
-  const MacScheduler mac(cfg, 5);
-  EXPECT_EQ(mac.cycle_length(44000, 0), 3);
-  // With zero jitter all delays are exact multiples of 2 ms.
-  MacConfig exact = cfg;
-  exact.intra_band_jitter_ms = 0.0;
-  const MacScheduler mac2(exact, 5);
-  for (std::uint64_t p = 0; p < 100; ++p) {
-    const double d = mac2.queuing_delay_ms(44000, kTerminal, 0, p);
-    EXPECT_NEAR(std::fmod(d, 2.0), 0.0, 1e-12);
   }
 }
 

@@ -73,8 +73,9 @@ TEST(ModelIo, ForestRoundTripPredictsIdentically) {
   const RandomForest loaded = RandomForest::load(buffer);
 
   EXPECT_EQ(loaded.trees().size(), forest.trees().size());
-  EXPECT_EQ(loaded.config().num_trees, cfg.num_trees);
-  EXPECT_EQ(loaded.config().seed, cfg.seed);
+  std::stringstream resaved;  // the config round-trips with the trees
+  loaded.save(resaved);
+  EXPECT_EQ(resaved.str(), buffer.str());
 
   std::mt19937 probe_rng(8);
   std::uniform_real_distribution<double> u(-2.0, 6.0);

@@ -56,7 +56,7 @@ TEST(ParserHardening, TleLenientRoutesNanIntoParseReport) {
   const std::vector<tle::Tle> cat =
       tle::read_catalog_string_lenient(text, report);
   EXPECT_TRUE(cat.empty());
-  EXPECT_FALSE(report.clean());
+  EXPECT_FALSE(report.issues.empty());
   ASSERT_EQ(report.issues.size(), 1u);
   EXPECT_NE(report.issues[0].reason.find("non-finite"), std::string::npos)
       << report.records_skipped << " record(s) skipped";
@@ -80,7 +80,7 @@ TEST(ParserHardening, CampaignLenientRoutesInfIntoParseReport) {
   std::istringstream in(campaign_csv("inf"));
   io::ParseReport report;
   const core::CampaignData data = io::load_campaign_lenient(in, report);
-  EXPECT_FALSE(report.clean());
+  EXPECT_FALSE(report.issues.empty());
   ASSERT_EQ(report.issues.size(), 1u);
   EXPECT_NE(report.issues[0].reason.find("non-finite"), std::string::npos)
       << report.records_skipped << " record(s) skipped";
@@ -121,7 +121,7 @@ TEST(ParserHardening, FiniteInputsStillParse) {
   std::istringstream campaign(campaign_csv("123.4567"));
   io::ParseReport report;
   const core::CampaignData data = io::load_campaign_lenient(campaign, report);
-  EXPECT_TRUE(report.clean());
+  EXPECT_TRUE(report.issues.empty());
   ASSERT_EQ(data.slots.size(), 1u);
   ASSERT_EQ(data.slots[0].available.size(), 1u);
   EXPECT_NEAR(data.slots[0].available[0].azimuth_deg, 123.4567, 1e-9);

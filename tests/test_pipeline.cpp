@@ -61,18 +61,6 @@ TEST(Pipeline, AccuracyOnlyCountsDecidedSlots) {
   EXPECT_EQ(r.decided(), 3u);
 }
 
-TEST(Pipeline, RecoveredGeometryWorksToo) {
-  // Run the pipeline with §4.1-recovered geometry instead of the published
-  // constants; accuracy must stay high.
-  PipelineConfig cfg;
-  cfg.recover_geometry = true;
-  cfg.fill_hours = 4.0;
-  const InferencePipeline pipeline(small_scenario(), cfg);
-  EXPECT_NEAR(pipeline.geometry().center_x, 61.0, 3.0);
-  const PipelineResult result = pipeline.run(0, 600.0);
-  EXPECT_GE(result.accuracy(), 0.9);
-}
-
 TEST(Pipeline, WorksFromAllTerminals) {
   const InferencePipeline pipeline(small_scenario());
   for (std::size_t t = 0; t < 4; ++t) {

@@ -55,7 +55,7 @@ TEST(RainFade, HeavyRainCanCloseTheLinkMargin) {
   // C/N at the far slant range, i.e. the link would drop below 0 dB.
   const double fade = rain_attenuation_db(50.0, 25.0_deg);
   EXPECT_GT(fade, 10.0);
-  const double clear_cn = cn_db(ku_user_downlink(), geo::Km(1200.0));
+  const double clear_cn = cn_db(geo::Km(1200.0));
   EXPECT_LT(clear_cn - fade, 3.0);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ground/gateway.hpp"
 #include "test_helpers.hpp"
 
 namespace starlab::core {
@@ -51,18 +52,16 @@ TEST(Scenario, CustomTerminalList) {
   EXPECT_EQ(s.terminal(0).name(), "Iowa");
 }
 
-TEST(Scenario, GatewayNetworkOffByDefault) {
-  EXPECT_FALSE(Scenario::default_config(0.125).attach_gateway_network);
-}
-
 TEST(Scenario, GatewayNetworkAttachable) {
-  ScenarioConfig cfg = Scenario::default_config(0.125);
-  cfg.attach_gateway_network = true;
-  const Scenario s(std::move(cfg));
-  // Allocation still works for the paper terminals (the dense network
-  // rarely binds there).
-  const auto alloc = s.global_scheduler().allocate(s.terminal(0), s.first_slot());
-  EXPECT_TRUE(alloc.has_value());
+  // The bent-pipe constraint attaches to a scheduler over the scenario's
+  // catalog; allocation still works for the paper terminals (the dense
+  // network rarely binds there).
+  const Scenario s(Scenario::default_config(0.125));
+  const ground::GatewayNetwork net =
+      ground::GatewayNetwork::paper_region_network();
+  scheduler::GlobalScheduler sched(s.catalog());
+  sched.set_gateway_network(&net);
+  EXPECT_TRUE(sched.allocate(s.terminal(0), s.first_slot()).has_value());
 }
 
 }  // namespace

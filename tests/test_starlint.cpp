@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -229,6 +230,15 @@ TEST(SarifTest, EmitsRuleAndLocation) {
   EXPECT_NE(sarif.find("\"startLine\": 42"), std::string::npos);
   // Quotes in messages must be escaped.
   EXPECT_NE(sarif.find("say \\\"no\\\" to rand"), std::string::npos);
+}
+
+TEST(SarifTest, EveryRuleShipsADescription) {
+  for (const std::string& rule : all_rule_ids()) {
+    EXPECT_FALSE(rule_description(rule).empty()) << rule;
+  }
+  EXPECT_NE(std::find(all_rule_ids().begin(), all_rule_ids().end(),
+                      "option-reachability"),
+            all_rule_ids().end());
 }
 
 }  // namespace

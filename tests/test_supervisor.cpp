@@ -50,7 +50,7 @@ TEST(Supervisor, ExhaustedAttemptsQuarantine) {
   });
   EXPECT_FALSE(out.ok);
   EXPECT_TRUE(out.quarantined);
-  EXPECT_EQ(calls, sup.config().max_attempts);
+  EXPECT_EQ(calls, SupervisorConfig{}.max_attempts);
   EXPECT_EQ(sup.quarantined(), 1u);
   EXPECT_NE(out.error.find("permanent"), std::string::npos);
   const std::vector<std::string> events = sup.events();
@@ -61,47 +61,24 @@ TEST(Supervisor, ExhaustedAttemptsQuarantine) {
 TEST(Supervisor, LadderClimbsWithCumulativeFailures) {
   SupervisorConfig config;
   config.max_attempts = 1;  // every failed task is one failure
-  config.shed_obs_failures = 2;
-  config.widen_grid_failures = 4;
-  config.abstain_failures = 6;
   Supervisor sup(config);
-  const auto fail_once = [&](std::uint64_t task) {
-    (void)sup.run(task, [](DegradeLevel) {
+  for (std::uint64_t failures = 1; failures <= kAbstainFailures; ++failures) {
+    (void)sup.run(failures, [](DegradeLevel) {
       throw std::runtime_error("boom");
     });
-  };
-  EXPECT_EQ(sup.level(), DegradeLevel::kNone);
-  fail_once(0);
-  EXPECT_EQ(sup.level(), DegradeLevel::kNone);
-  fail_once(1);
-  EXPECT_EQ(sup.level(), DegradeLevel::kShedObservability);
-  fail_once(2);
-  fail_once(3);
-  EXPECT_EQ(sup.level(), DegradeLevel::kWidenGrid);
-  fail_once(4);
-  fail_once(5);
-  EXPECT_EQ(sup.level(), DegradeLevel::kAbstain);
+    const DegradeLevel want =
+        failures >= kAbstainFailures     ? DegradeLevel::kAbstain
+        : failures >= kWidenGridFailures ? DegradeLevel::kWidenGrid
+        : failures >= kShedObsFailures   ? DegradeLevel::kShedObservability
+                                         : DegradeLevel::kNone;
+    EXPECT_EQ(sup.level(), want) << "failures=" << failures;
+  }
   // Each rung is announced exactly once in the event log.
   int degrade_events = 0;
   for (const std::string& e : sup.events()) {
     if (e.rfind("degrade level=", 0) == 0) ++degrade_events;
   }
   EXPECT_EQ(degrade_events, 3);
-}
-
-TEST(Supervisor, DisabledRungsNeverTrip) {
-  SupervisorConfig config;
-  config.max_attempts = 1;
-  config.shed_obs_failures = 0;
-  config.widen_grid_failures = 0;
-  config.abstain_failures = 0;
-  Supervisor sup(config);
-  for (std::uint64_t t = 0; t < 50; ++t) {
-    (void)sup.run(t, [](DegradeLevel) {
-      throw std::runtime_error("boom");
-    });
-  }
-  EXPECT_EQ(sup.level(), DegradeLevel::kNone);
 }
 
 TEST(Supervisor, InjectedTaskFaultsFollowThePlanDeterministically) {

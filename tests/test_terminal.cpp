@@ -62,41 +62,32 @@ TEST(Terminal, GsoExclusionRemovesSouthernHighSky) {
 
 TEST(Terminal, GsoFlagEqualsExactPredicateAllDay) {
   // Every candidate over a day of one-minute slots carries exactly the
-  // reference predicate `separation < gso_protection` as its GSO flag: at
-  // the paper terminal's own protection, and at a protection pinned to one
-  // candidate's exact separation (or the next double above it), which only
-  // the exact fallback can decide.
+  // reference predicate `separation < kGsoProtection` as its GSO flag, and
+  // the arc's filter agrees with that predicate at a protection pinned to
+  // one candidate's exact separation (or the next double above it), which
+  // only the exact fallback can decide.
   const Terminal& iowa = small_scenario().terminal(0);
-  const TerminalConfig cfg = paper_terminal_config(Site::kIowa);
-  ASSERT_EQ(iowa.name(), cfg.name);
+  const geo::GsoArc& arc = iowa.gso_arc();
   std::size_t excluded = 0, clear = 0;
-  const auto check = [&](const Terminal& t, geo::Deg protection,
-                         const std::vector<Candidate>& cands, int slot) {
-    for (const Candidate& c : cands) {
-      const bool exact = t.gso_arc().separation(c.sky.look.azimuth(),
-                                                c.sky.look.elevation()) <
-                         protection;
-      EXPECT_EQ(c.gso_excluded, exact)
-          << "slot " << slot << " norad " << c.sky.norad_id
-          << " protection " << protection.value();
-      ++(exact ? excluded : clear);
-    }
-  };
   for (int k = 0; k < 1440; ++k) {
     const auto jd = epoch_jd().plus_seconds(k * 60.0);
     const auto cands = iowa.candidates(small_scenario().catalog(), jd);
-    check(iowa, cfg.gso_protection, cands, k);
+    for (const Candidate& c : cands) {
+      const bool exact =
+          arc.separation(c.sky.look.azimuth(), c.sky.look.elevation()) <
+          kGsoProtection;
+      EXPECT_EQ(c.gso_excluded, exact)
+          << "slot " << k << " norad " << c.sky.norad_id;
+      ++(exact ? excluded : clear);
+    }
     if (k % 8 != 0 || cands.empty()) continue;
-    const double sep = iowa.gso_arc()
-                           .separation(cands.front().sky.look.azimuth(),
-                                       cands.front().sky.look.elevation())
-                           .value();
+    const geo::Deg az = cands.front().sky.look.azimuth();
+    const geo::Deg el = cands.front().sky.look.elevation();
+    const double sep = arc.separation(az, el).value();
     for (const double p : {sep, std::nextafter(sep, 181.0)}) {
-      TerminalConfig edge = cfg;
-      edge.gso_protection = geo::Deg(p);
-      const Terminal pinned(edge);
-      check(pinned, edge.gso_protection,
-            pinned.candidates(small_scenario().catalog(), jd), k);
+      EXPECT_EQ(arc.excluded(az, el, geo::Deg(p)),
+                arc.separation(az, el) < geo::Deg(p))
+          << "slot " << k << " protection " << p;
     }
   }
   EXPECT_GT(excluded, 0u);

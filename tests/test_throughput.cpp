@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "rf/link_budget.hpp"
 #include "test_helpers.hpp"
 
 namespace starlab::measurement {
@@ -79,7 +80,7 @@ TEST(Throughput, CapacityShareMatchesLinkBudgetScale) {
       small_scenario().terminal(0), *alloc,
       small_scenario().grid().slot_mid(alloc->slot));
   const double full_link = rf::shannon_capacity_mbps(
-      rf::ku_user_downlink(), alloc->look.range(), 0.65);
+      alloc->look.range(), 0.65);
   EXPECT_GT(share, 0.0);
   EXPECT_LT(share, full_link);  // cycle + load always take a cut
 }

@@ -8,83 +8,18 @@
 #include <sstream>
 #include <tuple>
 
+#include "scan.hpp"
+
 namespace starlint {
 
 namespace {
 
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-bool is_space(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-}
-
-/// Same preprocessor blanking as the indexer: offsets stay valid because
-/// the text keeps its length and newlines.
-void blank_preprocessor_lines(std::string& text) {
-  std::size_t i = 0;
-  bool continued = false;
-  while (i < text.size()) {
-    std::size_t eol = text.find('\n', i);
-    if (eol == std::string::npos) eol = text.size();
-    std::size_t first = i;
-    while (first < eol && (text[first] == ' ' || text[first] == '\t')) ++first;
-    const bool directive = continued || (first < eol && text[first] == '#');
-    continued = directive && eol > i && text[eol - 1] == '\\';
-    if (directive) {
-      for (std::size_t k = i; k < eol; ++k) text[k] = ' ';
-    }
-    i = eol + 1;
-  }
-}
-
-std::size_t skip_ws_back(const std::string& text, std::size_t i) {
-  while (i != std::string::npos && i < text.size() && is_space(text[i])) {
-    if (i == 0) return std::string::npos;
-    --i;
-  }
-  return i;
-}
-
-std::size_t skip_ws_fwd(const std::string& text, std::size_t i) {
-  while (i < text.size() && is_space(text[i])) ++i;
-  return i;
-}
-
-std::string ident_ending_at(const std::string& text, std::size_t end,
-                            std::size_t& begin_out) {
-  if (end == std::string::npos || end >= text.size() ||
-      !is_ident_char(text[end])) {
-    return "";
-  }
-  std::size_t b = end;
-  while (b > 0 && is_ident_char(text[b - 1])) --b;
-  begin_out = b;
-  if (std::isdigit(static_cast<unsigned char>(text[b])) != 0) return "";
-  return text.substr(b, end - b + 1);
-}
-
-std::size_t match_back(const std::string& text, std::size_t at, char open,
-                       char close) {
-  int depth = 0;
-  for (std::size_t i = at;; --i) {
-    if (text[i] == close) ++depth;
-    if (text[i] == open && --depth == 0) return i;
-    if (i == 0) break;
-  }
-  return std::string::npos;
-}
-
-/// Skip a balanced paren group starting at the '(' at `open`; returns one
-/// past the matching ')'.
-std::size_t skip_paren_group(const std::string& text, std::size_t open) {
-  int depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '(') ++depth;
-    if (text[i] == ')' && --depth == 0) return i + 1;
-  }
-  return text.size();
+/// True when the declaration text `decl` (a parameter, a return type, the
+/// head of `auto& x =`) is a non-const lvalue reference.
+bool binds_mutable_ref(const std::string& decl) {
+  const std::size_t amp = decl.find('&');
+  return amp != std::string::npos && decl.compare(amp, 2, "&&") != 0 &&
+         !has_word(decl, "const");
 }
 
 /// The `::`-qualified chain ending with the identifier `tok` at `tok_pos`
@@ -144,6 +79,26 @@ const std::set<std::string>& control_keywords() {
       "assert",   "static_assert", "operator", "defined",
   };
   return kw;
+}
+
+/// True when the identifier right after `prev` (its previous non-space
+/// char) is being declared: `Type name`, `std::vector<T> name`, and with
+/// `pointers` also `Type& name` / `Type* name`.
+bool declarator_after(const std::string& text, std::size_t prev,
+                      bool pointers) {
+  while (pointers && prev != std::string::npos && prev > 0 &&
+         (text[prev] == '&' || text[prev] == '*')) {
+    prev = skip_ws_back(text, prev - 1);
+  }
+  if (prev == std::string::npos) return false;
+  std::size_t b = 0;
+  const std::string id = ident_ending_at(text, prev, b);
+  if (!id.empty()) {
+    return decl_excluded().count(id) == 0 &&
+           control_keywords().count(id) == 0 && id != "const";
+  }
+  return text[prev] == '>' && prev > 0 && text[prev - 1] != '-' &&
+         text[prev - 1] != '>';
 }
 
 /// Free-function / cast names the scan treats as pure leaves.
@@ -309,6 +264,15 @@ CallGraph::CallGraph(const std::vector<SourceFile>& files,
     FileIndex index = index_file(files[f], f);
     for (FunctionDef& def : index.functions) defs_.push_back(std::move(def));
     for (MutexDecl& mu : index.mutexes) mutexes_.push_back(std::move(mu));
+    std::string owner;
+    for (FieldDecl& field : index.fields) {
+      field_names_.insert(field.name);
+      auto& classes = aggregates_[last_component(field.owner)];
+      if (field.owner != owner) classes.emplace_back();
+      owner = field.owner;
+      classes.back().push_back(field.name);
+      fields_.push_back(std::move(field));
+    }
     std::string text = files[f].scrubbed();
     blank_preprocessor_lines(text);
     texts.push_back(std::move(text));
@@ -317,13 +281,37 @@ CallGraph::CallGraph(const std::vector<SourceFile>& files,
     by_name_[defs_[d].name].push_back(d);
   }
   texts_ = std::move(texts);
-  sites_.resize(defs_.size());
-  for (std::size_t d = 0; d < defs_.size(); ++d) extract_sites(d);
   parent_.resize(defs_.size());
+  declared_.resize(defs_.size());
   for (std::size_t d = 0; d < defs_.size(); ++d) {
     parent_[d] = enclosing_def(defs_[d].file_index, defs_[d].body_begin);
+    declared_[d] = declared_names(d);
   }
+  sites_.resize(defs_.size());
+  for (std::size_t d = 0; d < defs_.size(); ++d) extract_sites(d);
   for (std::size_t f = 0; f < files.size(); ++f) extract_file_scope_refs(f);
+  // Member writes: each def's own text (its nested defs excluded), and the
+  // text outside every function of each file.
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> bodies(
+      files.size());
+  for (const FunctionDef& def : defs_) {
+    bodies[def.file_index].emplace_back(def.init_begin, def.body_end);
+  }
+  writes_.resize(defs_.size());
+  for (std::size_t d = 0; d < defs_.size(); ++d) {
+    std::vector<std::pair<std::size_t, std::size_t>> nested;
+    for (const auto& [b, e] : bodies[defs_[d].file_index]) {
+      if (b > defs_[d].body_begin && e <= defs_[d].body_end) {
+        nested.emplace_back(b, e);
+      }
+    }
+    extract_writes(defs_[d].file_index, defs_[d].init_begin,
+                   defs_[d].body_end, nested, d, writes_[d]);
+  }
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    extract_writes(f, 0, texts_[f].size(), bodies[f], SIZE_MAX,
+                   file_scope_writes_);
+  }
   // Immediately-invoked lambdas: `[]{ ... }()` executes in the enclosing
   // function, so give the enclosing def a call edge to the lambda.
   for (std::size_t d = 0; d < defs_.size(); ++d) {
@@ -336,6 +324,7 @@ CallGraph::CallGraph(const std::vector<SourceFile>& files,
       if (host != SIZE_MAX && host != d) iife_edges_[host].push_back(d);
     }
   }
+  compute_reached();
 }
 
 std::size_t CallGraph::enclosing_def(std::size_t file_index,
@@ -375,7 +364,8 @@ void CallGraph::extract_sites(std::size_t def_index) {
 
   std::vector<Site>& out = sites_[def_index];
   // A constructor's init list runs with it; its names are uses, not sinks.
-  add_refs(text, def.init_begin + 1, def.body_begin, def.file_index, out);
+  add_refs(text, def.init_begin + 1, def.body_begin, def.file_index, out,
+           def_index);
   std::size_t i = begin;
   std::size_t nested_at = 0;
   while (i < end) {
@@ -417,8 +407,8 @@ void CallGraph::extract_sites(std::size_t def_index) {
       continue;
     }
     if (config_.macros.count(tok) != 0 && next < end && text[next] == '(') {
-      const std::size_t close = skip_paren_group(text, next);
-      add_refs(text, next, close, def.file_index, out);
+      const std::size_t close = skip_group(text, next);
+      add_refs(text, next, close, def.file_index, out, def_index);
       i = close;
       continue;
     }
@@ -445,7 +435,8 @@ void CallGraph::extract_sites(std::size_t def_index) {
         const std::string prev_id =
             prev == std::string::npos ? "" : ident_ending_at(text, prev, pb);
         if (!member_access_at(text, prev) &&
-            (prev_id.empty() || decl_excluded().count(prev_id) != 0)) {
+            (prev_id.empty() || decl_excluded().count(prev_id) != 0) &&
+            (chain != tok || !is_declared(def_index, tok))) {
           Site ref;
           ref.kind = Site::Kind::kRef;
           ref.name = chain;
@@ -521,6 +512,11 @@ void CallGraph::extract_sites(std::size_t def_index) {
       }
     }
 
+    // `score(x)` where `score` is a local lambda or a callback parameter.
+    if (!member && chain == tok && is_declared(def_index, tok)) {
+      i = e;
+      continue;
+    }
     const std::string last = last_component(chain);
     Site site;
     site.name = chain;
@@ -536,7 +532,7 @@ void CallGraph::extract_sites(std::size_t def_index) {
         site.mutex_arg = receiver;
       } else {
         // First constructor argument's trailing chain names the mutex.
-        const std::size_t close = skip_paren_group(text, next) - 1;
+        const std::size_t close = skip_group(text, next) - 1;
         std::string arg = text.substr(next + 1, close - next - 1);
         const std::size_t comma = arg.find(',');
         if (comma != std::string::npos) arg = arg.substr(0, comma);
@@ -554,7 +550,7 @@ void CallGraph::extract_sites(std::size_t def_index) {
       }
       // The guard is held until the innermost enclosing block closes.
       int depth = 0;
-      std::size_t scan = skip_paren_group(text, next);
+      std::size_t scan = skip_group(text, next);
       site.block_end = end;
       while (scan < end) {
         if (text[scan] == '{') ++depth;
@@ -602,7 +598,7 @@ void CallGraph::extract_sites(std::size_t def_index) {
 
 void CallGraph::add_refs(const std::string& text, std::size_t begin,
                          std::size_t end, std::size_t file_index,
-                         std::vector<Site>& out) const {
+                         std::vector<Site>& out, std::size_t def) const {
   std::size_t i = begin;
   while (i < end) {
     if (!is_ident_char(text[i]) ||
@@ -613,12 +609,14 @@ void CallGraph::add_refs(const std::string& text, std::size_t begin,
     std::size_t e = i;
     while (e < end && is_ident_char(text[e])) ++e;
     const std::string tok = text.substr(i, e - i);
+    std::size_t chain_begin = 0;
+    const std::string chain = chain_ending_at(text, i, tok, chain_begin);
     if (by_name_.count(tok) != 0 &&
-        text.compare(skip_ws_fwd(text, e), 2, "::") != 0) {
+        text.compare(skip_ws_fwd(text, e), 2, "::") != 0 &&
+        (def == SIZE_MAX || chain != tok || !is_declared(def, tok))) {
       Site ref;
       ref.kind = Site::Kind::kRef;
-      std::size_t chain_begin = 0;
-      ref.name = chain_ending_at(text, i, tok, chain_begin);
+      ref.name = chain;
       ref.pos = i;
       ref.line = files_[file_index].line_of(i);
       out.push_back(std::move(ref));
@@ -1114,12 +1112,12 @@ std::vector<Finding> CallGraph::lock_order_findings() const {
   return findings;
 }
 
-std::vector<Finding> CallGraph::reachability_findings() const {
-  std::vector<bool> reached(defs_.size(), false);
+void CallGraph::compute_reached() {
+  reached_.assign(defs_.size(), false);
   std::deque<std::size_t> queue;
   const auto reach = [&](std::size_t d) {
-    if (!reached[d]) {
-      reached[d] = true;
+    if (!reached_[d]) {
+      reached_[d] = true;
       queue.push_back(d);
     }
   };
@@ -1155,12 +1153,14 @@ std::vector<Finding> CallGraph::reachability_findings() const {
       for (std::size_t t : kids->second) reach(t);
     }
   }
+}
 
+std::vector<Finding> CallGraph::reachability_findings() const {
   std::vector<Finding> findings;
   for (std::size_t d = 0; d < defs_.size(); ++d) {
     const FunctionDef& def = defs_[d];
     const SourceFile& file = files_[def.file_index];
-    if (reached[d] || parent_[d] != SIZE_MAX ||
+    if (reached_[d] || parent_[d] != SIZE_MAX ||
         file.path().rfind("src/", 0) != 0) {
       continue;
     }
@@ -1170,6 +1170,421 @@ std::vector<Finding> CallGraph::reachability_findings() const {
              "' is reachable from no entry point under bench/, examples/, "
              "tools/, fuzz/ or perfbench/; call it from one, delete it, or "
              "keep it with `starlint:allow(reachability): <reason>`"});
+  }
+  return findings;
+}
+
+std::set<std::string> CallGraph::declared_names(std::size_t def_index) const {
+  // `Type name`, `Type& name`, `std::vector<T> name` followed by what can
+  // end a declarator, from the parameter list to the end of the body.
+  const FunctionDef& def = defs_[def_index];
+  const std::string& text = texts_[def.file_index];
+  std::set<std::string> names;
+  for (std::size_t i = def.params_begin; i < def.body_end; ++i) {
+    if (!is_ident_char(text[i]) || (i > 0 && is_ident_char(text[i - 1])) ||
+        std::isdigit(static_cast<unsigned char>(text[i])) != 0) {
+      continue;
+    }
+    std::size_t e = i;
+    while (e < def.body_end && is_ident_char(text[e])) ++e;
+    const std::size_t next = skip_ws_fwd(text, e);
+    if (next >= text.size() || std::string("=;,){([:").find(text[next]) ==
+                                   std::string::npos ||
+        text.compare(next, 2, "::") == 0 || text.compare(next, 2, "==") == 0) {
+      continue;
+    }
+    // `T* p = ...` declares p, but `k * f(x)` calls f.
+    if (declarator_after(text, i == 0 ? std::string::npos
+                                      : skip_ws_back(text, i - 1),
+                         text[next] != '(')) {
+      names.insert(text.substr(i, e - i));
+    }
+  }
+  return names;
+}
+
+bool CallGraph::is_declared(std::size_t def_index,
+                            const std::string& name) const {
+  for (std::size_t d = def_index; d != SIZE_MAX; d = parent_[d]) {
+    if (declared_[d].count(name) != 0) return true;
+  }
+  return false;
+}
+
+bool CallGraph::mutating_member(const std::string& method) const {
+  static const std::set<std::string> kReads = {
+      "size",  "empty",  "begin",     "end",   "cbegin",   "cend",
+      "rbegin", "rend",  "front",     "back",  "data",     "value",
+      "value_or", "c_str", "length",  "count", "find",     "rfind",
+      "contains", "at",  "get",       "has_value", "test", "any",
+      "all",   "none",   "load",      "compare", "substr", "top",
+      "find_first_of", "find_last_of", "str", "index"};
+  if (kReads.count(method) != 0) return false;
+  const auto it = by_name_.find(method);
+  if (it == by_name_.end()) return true;  // push_back, resize, clear, ...
+  return std::any_of(it->second.begin(), it->second.end(),
+                     [&](std::size_t d) { return !defs_[d].is_const; });
+}
+
+std::string CallGraph::parameter(std::size_t def, std::size_t arg) const {
+  const FunctionDef& fn = defs_[def];
+  const std::string& text = texts_[fn.file_index];
+  if (fn.params_begin >= fn.body_begin || text[fn.params_begin] != '(') {
+    return "";
+  }
+  const std::size_t close = skip_group(text, fn.params_begin) - 1;
+  std::size_t index = 0;
+  std::size_t start = fn.params_begin + 1;
+  int depth = 0;
+  for (std::size_t k = start; k <= close; ++k) {
+    const char c = text[k];
+    if (c == '(' || c == '<' || c == '{' || c == '[') ++depth;
+    if ((c == ')' || c == '>' || c == '}' || c == ']') && k != close) --depth;
+    if (k != close && (c != ',' || depth != 0)) continue;
+    if (index++ == arg) return text.substr(start, k - start);
+    start = k + 1;
+  }
+  return "";
+}
+
+bool CallGraph::out_param(const std::string& callee, std::size_t arg) const {
+  static const std::set<std::string> kStdOut = {
+      "swap", "getline", "exchange", "from_chars", "iota", "shuffle"};
+  if (kStdOut.count(callee) != 0) return true;
+  const auto it = by_name_.find(callee);
+  return it != by_name_.end() &&
+         std::any_of(it->second.begin(), it->second.end(), [&](std::size_t d) {
+           return binds_mutable_ref(parameter(d, arg));
+         });
+}
+
+std::string CallGraph::head_text(std::size_t def) const {
+  const FunctionDef& fn = defs_[def];
+  const std::string& text = texts_[fn.file_index];
+  std::size_t k = fn.params_begin;
+  while (k > 0 && std::string(";{}").find(text[k - 1]) == std::string::npos) {
+    --k;
+  }
+  const std::size_t close =
+      fn.params_begin < fn.body_begin ? skip_group(text, fn.params_begin)
+                                      : fn.body_begin;
+  return text.substr(k, fn.params_begin - k) + " " +
+         text.substr(close, fn.init_begin - std::min(close, fn.init_begin));
+}
+
+std::set<std::string> CallGraph::aggregate_types(std::size_t file_index,
+                                                 std::size_t brace,
+                                                 std::size_t def) const {
+  // Walk out of the list to what gives it a type: `T{`, `T x{`, `T x = {`,
+  // an enclosing list (`std::vector<T> xs = {{`), `return {` (the return
+  // type) or a call argument (the parameter's type, or the receiver's
+  // declaration for `xs.push_back({`).
+  const std::string& text = texts_[file_index];
+  std::set<std::string> names;     // words that may name the type
+  std::set<std::string> declared;  // variables whose declarations do
+  std::size_t arg = 0;
+  for (std::size_t k = brace; k-- > 0;) {
+    const char c = text[k];
+    if (c == ')' || c == ']' || c == '}') {
+      k = match_back(text, k, c == ')' ? '(' : c == ']' ? '[' : '{', c);
+      if (k == std::string::npos) break;
+      continue;
+    }
+    if (c == ';') break;
+    if (c == ',') ++arg;
+    const std::size_t p =
+        k == 0 ? std::string::npos : skip_ws_back(text, k - 1);
+    std::size_t pb = 0;
+    const std::string before =
+        p == std::string::npos ? "" : ident_ending_at(text, p, pb);
+    if (c == '{') {
+      if (p == std::string::npos ||
+          std::string(");{}").find(text[p]) != std::string::npos ||
+          before == "else" || before == "do" || before == "try") {
+        break;  // a block, not an enclosing list
+      }
+      arg = 0;
+      continue;
+    }
+    if (c == '(') {
+      names.clear();
+      names.insert(before);  // `T(...)`
+      const auto defs = by_name_.find(before);
+      if (defs != by_name_.end()) {
+        for (std::size_t d : defs->second) {
+          for (const Ident& w : identifiers(parameter(d, arg))) {
+            names.insert(w.text);
+          }
+        }
+      }
+      const std::size_t dot = pb == 0 ? std::string::npos
+                                      : skip_ws_back(text, pb - 1);
+      if (member_access_at(text, dot)) {
+        std::size_t rb = 0;
+        declared.insert(ident_ending_at(
+            text, skip_ws_back(text, text[dot] == '.' ? dot - 1 : dot - 2),
+            rb));
+      }
+      break;
+    }
+    if (c == '=' && p != std::string::npos) {
+      std::size_t target = p;  // `xs[i] = {` assigns an element of xs
+      while (target != std::string::npos && text[target] == ']') {
+        target = match_back(text, target, '[', ']');
+        target = target == 0 || target == std::string::npos
+                     ? std::string::npos
+                     : skip_ws_back(text, target - 1);
+      }
+      std::size_t tb = 0;
+      declared.insert(ident_ending_at(text, target, tb));
+    }
+    if (!is_ident_char(c)) continue;
+    std::size_t b = 0;
+    const std::string id = ident_ending_at(text, k, b);
+    names.insert(id);
+    if (id == "return" && def != SIZE_MAX) {
+      for (const Ident& w : identifiers(head_text(def))) names.insert(w.text);
+    }
+    k = b;
+  }
+  // A variable's declarations (`Type name`, `std::vector<T> name`) name
+  // its type.
+  for (const std::string& name : declared) {
+    if (name.empty()) continue;
+    for (std::size_t at = text.find(name); at != std::string::npos;
+         at = text.find(name, at + 1)) {
+      if ((at > 0 && is_ident_char(text[at - 1])) ||
+          is_ident_char(text[at + name.size()])) {
+        continue;
+      }
+      std::size_t k = at;
+      while (k > 0 &&
+             std::string(";{}(,").find(text[k - 1]) == std::string::npos) {
+        --k;
+      }
+      for (const Ident& w : identifiers(text.substr(k, at - k))) {
+        names.insert(w.text);
+      }
+    }
+  }
+  std::set<std::string> types;
+  for (const std::string& name : names) {
+    if (aggregates_.count(name) != 0) types.insert(name);
+  }
+  return types;
+}
+
+void CallGraph::extract_writes(
+    std::size_t file_index, std::size_t begin, std::size_t end,
+    const std::vector<std::pair<std::size_t, std::size_t>>& skip,
+    std::size_t def, std::set<std::string>& out) const {
+  const std::string& text = texts_[file_index];
+  const auto write = [&](const std::string& name) {
+    if (field_names_.count(name) != 0) out.insert(name);
+  };
+  // A constructor's init list: `a_(x), b_{y}` writes a_ and b_.
+  if (def != SIZE_MAX && defs_[def].init_begin < defs_[def].body_begin) {
+    int depth = 0;
+    for (std::size_t k = defs_[def].init_begin + 1;
+         k < defs_[def].body_begin; ++k) {
+      const char c = text[k];
+      if (c == '(' || c == '{') ++depth;
+      if (c == ')' || c == '}') --depth;
+      if (depth != 0 || !is_ident_char(c) || is_ident_char(text[k + 1])) {
+        continue;
+      }
+      const std::size_t next = skip_ws_fwd(text, k + 1);
+      std::size_t b = 0;
+      if (text[next] == '(' || text[next] == '{') {
+        write(ident_ending_at(text, k, b));
+      }
+    }
+    begin = defs_[def].body_begin;
+  }
+  std::size_t next_skip = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    while (next_skip < skip.size() && skip[next_skip].second <= i) ++next_skip;
+    if (next_skip < skip.size() && i >= skip[next_skip].first) {
+      i = skip[next_skip].second - 1;
+      continue;
+    }
+    const char c = text[i];
+    if (c == '{') {
+      // Positional aggregate initializer `{a, b}`: writes the first two
+      // members of each class it may construct (aggregate_types).
+      const std::size_t close = skip_group(text, i, '{', '}');
+      const std::size_t first = skip_ws_fwd(text, i + 1);
+      if (first + 1 >= close || text[first] == '.') continue;
+      std::size_t elements = 1;
+      int depth = 0;
+      for (std::size_t k = first; k + 1 < close && elements != 0; ++k) {
+        if (std::string("({[").find(text[k]) != std::string::npos) ++depth;
+        if (std::string(")}]").find(text[k]) != std::string::npos) --depth;
+        if (depth == 0 && text[k] == ';') elements = 0;  // a block
+        if (depth == 0 && text[k] == ',' &&
+            text[skip_ws_fwd(text, k + 1)] != '}') {
+          ++elements;
+        }
+      }
+      if (elements == 0) continue;
+      for (const std::string& type : aggregate_types(file_index, i, def)) {
+        for (const std::vector<std::string>& members :
+             aggregates_.at(type)) {
+          for (std::size_t m = 0; m < members.size() && m < elements; ++m) {
+            write(members[m]);
+          }
+        }
+      }
+      continue;
+    }
+    if (!is_ident_char(c) || (i > 0 && is_ident_char(text[i - 1])) ||
+        std::isdigit(static_cast<unsigned char>(c)) != 0) {
+      continue;
+    }
+    std::size_t e = i;
+    while (e < end && is_ident_char(text[e])) ++e;
+    const std::string tok = text.substr(i, e - i);
+    const std::size_t start = i;
+    i = e - 1;
+    if (text.compare(skip_ws_fwd(text, e), 2, "::") == 0) continue;
+    const std::size_t prev =
+        start == 0 ? std::string::npos : skip_ws_back(text, start - 1);
+    bool designator = false;
+    if (prev != std::string::npos && prev > 0 &&
+        text.compare(prev - 1, 2, "::") == 0) {
+      continue;
+    }
+    if (member_access_at(text, prev)) {
+      // Inside a chain (`a.b`) — the chain's first name handles it — or a
+      // designator (`{.b = 1}`).
+      const std::size_t before =
+          skip_ws_back(text, text[prev] == '.' ? prev - 1 : prev - 2);
+      if (before == std::string::npos || is_ident_char(text[before]) ||
+          text[before] == ')' || text[before] == ']') {
+        continue;
+      }
+      designator = true;
+    }
+
+    // Walk `tok[..].m1->m2.call(...).m3` collecting member names; a
+    // mutating member call writes everything in front of it.
+    std::vector<std::string> chain{tok};
+    std::size_t written = 0;
+    std::size_t pos = e;
+    bool call = false;
+    for (;;) {
+      const std::size_t p = skip_ws_fwd(text, pos);
+      if (p >= end) break;
+      if (text[p] == '[') {
+        pos = skip_group(text, p, '[', ']');
+      } else if (text[p] == '(') {
+        if (chain.size() < 2) {
+          call = true;
+          break;
+        }
+        const std::string method = chain.back();
+        chain.pop_back();
+        if (mutating_member(method)) written = chain.size();
+        pos = skip_group(text, p);
+      } else if (text[p] == '.' || text.compare(p, 2, "->") == 0) {
+        const std::size_t m = skip_ws_fwd(text, p + (text[p] == '.' ? 1 : 2));
+        std::size_t me = m;
+        while (me < end && is_ident_char(text[me])) ++me;
+        if (me == m) break;
+        chain.push_back(text.substr(m, me - m));
+        pos = me;
+      } else {
+        break;
+      }
+    }
+    if (call) continue;
+    const std::size_t p = skip_ws_fwd(text, pos);
+    const std::string op = text.substr(p, 3);
+    const bool assigned =
+        (op[0] == '=' && op[1] != '=') || op.rfind("++", 0) == 0 ||
+        op.rfind("--", 0) == 0 || op == "<<=" || op == ">>=" ||
+        (std::string("+-*/%&|^").find(op[0]) != std::string::npos &&
+         op[1] == '=');
+    bool prefixed = false;
+    if (!designator && prev != std::string::npos) {
+      if (declarator_after(text, prev, true)) continue;  // `T x = ...`
+      const char pc = text[prev];
+      const char pp = prev > 0 ? text[prev - 1] : ' ';
+      std::size_t pb = 0;
+      if (ident_ending_at(text, prev, pb) == "return") {
+        // `-> double& { return p.rate; }` hands out a mutable reference.
+        prefixed = def != SIZE_MAX && binds_mutable_ref(head_text(def));
+      } else if ((pc == '+' && pp == '+') || (pc == '-' && pp == '-') ||
+          (pc == '>' && pp == '>') || (pc == '&' && pp != '&')) {
+        prefixed = true;
+      } else if ((pc == '(' || pc == ',') &&
+                 (text[p] == ',' || text[p] == ')')) {
+        // An argument: find the call and the argument's index.
+        std::size_t arg = 0;
+        int depth = 0;
+        std::size_t k = prev;
+        for (; k > begin; --k) {
+          const char ch = text[k];
+          if (ch == ')' || ch == ']' || ch == '}') ++depth;
+          if (ch == '(' || ch == '[' || ch == '{') {
+            if (depth == 0) break;
+            --depth;
+          }
+          if (ch == ',' && depth == 0) ++arg;
+        }
+        std::size_t cb = 0;
+        const std::string callee =
+            text[k] == '(' && k > 0
+                ? ident_ending_at(text, skip_ws_back(text, k - 1), cb)
+                : "";
+        prefixed = !callee.empty() && out_param(callee, arg);
+      }
+    }
+    if (assigned || prefixed) written = chain.size();
+    // A parameter or local that shadows a member is not that member.
+    const std::size_t from =
+        !designator && def != SIZE_MAX && is_declared(def, tok) ? 1 : 0;
+    for (std::size_t k = from; k < written; ++k) write(chain[k]);
+  }
+}
+
+std::vector<Finding> CallGraph::option_reachability_findings() const {
+  std::set<std::string> written = file_scope_writes_;
+  for (std::size_t d = 0; d < defs_.size(); ++d) {
+    if (reached_[d]) written.insert(writes_[d].begin(), writes_[d].end());
+  }
+  std::vector<Finding> findings;
+  for (const FieldDecl& field : fields_) {
+    const SourceFile& file = files_[field.file_index];
+    if (written.count(field.name) != 0 || file.path().rfind("src/", 0) != 0) {
+      continue;
+    }
+    if (file.allowed("option-reachability", field.line)) {
+      // The allow must say why: `starlint:allow(option-reachability): <why>`.
+      const std::string tag = "starlint:allow(option-reachability):";
+      bool reason = false;
+      for (std::size_t line : {field.line, field.line - 1}) {
+        const std::string raw = file.raw_line(line);
+        const std::size_t at = raw.find(tag);
+        if (at != std::string::npos &&
+            raw.find_first_not_of(" \t", at + tag.size()) !=
+                std::string::npos) {
+          reason = true;
+        }
+      }
+      if (reason) continue;
+      findings.push_back({"option-reachability", file.path(), field.line,
+                          "the allow for '" + field.owner + "::" +
+                              field.name + "' gives no reason"});
+      continue;
+    }
+    findings.push_back(
+        {"option-reachability", file.path(), field.line,
+         "'" + field.owner + "::" + field.name +
+             "' is written by no shipped path, so it always holds its "
+             "default; fold it into a constant, set it from a shipped "
+             "caller, or keep it with "
+             "`starlint:allow(option-reachability): <reason>`"});
   }
   return findings;
 }
@@ -1186,6 +1601,9 @@ std::string CallGraph::dump() const {
           << site.name;
       if (!site.mutex_arg.empty()) out << " [" << site.mutex_arg << "]";
       out << " :" << site.line << "\n";
+    }
+    for (const std::string& name : writes_[d]) {
+      out << "    write " << name << "\n";
     }
   }
   out << "mutexes " << mutexes_.size() << "\n";

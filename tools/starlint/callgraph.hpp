@@ -35,6 +35,16 @@
 //   lambdas nested in a reached body. Root files only feed the graph: the
 //   hot-path and lock-order rules report on src/ alone.
 //
+//   option-reachability — every data member of a src/ class must be written
+//   by some reached body (or by an initializer outside every function): an
+//   assignment, `++`/`--`, a designated or positional aggregate initializer,
+//   a constructor init list, a mutating member call, a write through a
+//   nested member, `>>`, `&`, or an argument bound to a non-const reference
+//   parameter. A member no shipped path writes always holds its default.
+//
+// A name a function declares as a parameter or local is not a use of a
+// same-named function, and not a write of a same-named member.
+//
 // Call resolution is deliberately conservative and name-based (no types):
 // member-call vocabulary of the standard library is classified directly
 // (growing ops are allocation sinks, accessors are pure), qualified names
@@ -48,6 +58,7 @@
 // that sink for every path reaching it.
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -83,6 +94,10 @@ class CallGraph {
   /// no root reaches, at its definition line.
   [[nodiscard]] std::vector<Finding> reachability_findings() const;
 
+  /// Option-reachability findings (rule option-reachability): one per src/
+  /// data member that no reached body writes, at its declaration.
+  [[nodiscard]] std::vector<Finding> option_reachability_findings() const;
+
   /// Every indexed function definition, in (file, body_begin) order.
   [[nodiscard]] const std::vector<FunctionDef>& functions() const {
     return defs_;
@@ -108,11 +123,45 @@ class CallGraph {
   };
 
   void extract_sites(std::size_t def_index);
+  /// Names `def_index` declares: its parameters and locals.
+  [[nodiscard]] std::set<std::string> declared_names(
+      std::size_t def_index) const;
+  /// True when `name` is a parameter or local of `def_index` or of a def
+  /// enclosing it (a lambda sees its host's locals).
+  [[nodiscard]] bool is_declared(std::size_t def_index,
+                                 const std::string& name) const;
+  /// Add to `out` every member name written in text[begin, end) of file
+  /// `file_index`, skipping the [first, second) ranges in `skip`. `def` is
+  /// the enclosing function (SIZE_MAX outside every function).
+  void extract_writes(std::size_t file_index, std::size_t begin,
+                      std::size_t end,
+                      const std::vector<std::pair<std::size_t, std::size_t>>&
+                          skip,
+                      std::size_t def, std::set<std::string>& out) const;
+  /// True when a member call named `method` may modify its receiver.
+  [[nodiscard]] bool mutating_member(const std::string& method) const;
+  /// Text of parameter `arg` of `def` ("" when it has none).
+  [[nodiscard]] std::string parameter(std::size_t def, std::size_t arg) const;
+  /// True when argument `arg` of a call to `callee` binds to a non-const
+  /// lvalue reference.
+  [[nodiscard]] bool out_param(const std::string& callee,
+                               std::size_t arg) const;
+  /// `def`'s head without its name and parameter list: return type,
+  /// qualifiers, trailing return type.
+  [[nodiscard]] std::string head_text(std::size_t def) const;
+  /// The classes a positional brace list at `brace` may initialize.
+  [[nodiscard]] std::set<std::string> aggregate_types(std::size_t file_index,
+                                                      std::size_t brace,
+                                                      std::size_t def) const;
+  /// Breadth-first reach from the roots, over call and reference edges.
+  void compute_reached();
   /// Append a kRef site for every indexed function name in
   /// text[begin, end) — spans whose code runs but is not a plain body
   /// (init lists, contract-macro arguments, initializers, #defines).
+  /// Inside `def`, its parameters and locals are not references.
   void add_refs(const std::string& text, std::size_t begin, std::size_t end,
-                std::size_t file_index, std::vector<Site>& out) const;
+                std::size_t file_index, std::vector<Site>& out,
+                std::size_t def = SIZE_MAX) const;
   /// kRef sites of code that runs outside every function body: initializers
   /// after `=` at namespace or class scope, and #define bodies.
   void extract_file_scope_refs(std::size_t file_index);
@@ -145,6 +194,16 @@ class CallGraph {
   /// Uses outside every function body; reachability roots.
   std::vector<Site> file_scope_refs_;
   std::vector<MutexDecl> mutexes_;
+  std::vector<FieldDecl> fields_;
+  std::set<std::string> field_names_;
+  /// Class name (last component) -> the member names of each class so
+  /// named, in declaration order: positional aggregate initializers.
+  std::map<std::string, std::vector<std::vector<std::string>>> aggregates_;
+  std::vector<std::set<std::string>> declared_;  // parallel to defs_
+  std::vector<std::set<std::string>> writes_;    // parallel to defs_
+  /// Member names written by initializers outside every function body.
+  std::set<std::string> file_scope_writes_;
+  std::vector<bool> reached_;  // parallel to defs_
   std::map<std::string, std::vector<std::size_t>> by_name_;
   /// def -> lambda defs invoked immediately at their closing brace (IIFE):
   /// `[]{ ... }()` — treated as a call edge from the enclosing function.

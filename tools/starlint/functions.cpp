@@ -2,83 +2,22 @@
 
 #include <algorithm>
 #include <cctype>
+#include <map>
 #include <set>
+
+#include "scan.hpp"
 
 namespace starlint {
 
 namespace {
 
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-bool is_space(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-}
-
-/// Blank every preprocessor line (and its `\`-continuations) in place,
-/// keeping newlines so line numbers survive.
-void blank_preprocessor_lines(std::string& text) {
-  std::size_t i = 0;
-  bool continued = false;
-  while (i < text.size()) {
-    std::size_t eol = text.find('\n', i);
-    if (eol == std::string::npos) eol = text.size();
-    std::size_t first = i;
-    while (first < eol && (text[first] == ' ' || text[first] == '\t')) ++first;
-    const bool directive = continued || (first < eol && text[first] == '#');
-    continued = directive && eol > i && text[eol - 1] == '\\';
-    if (directive) {
-      for (std::size_t k = i; k < eol; ++k) text[k] = ' ';
-    }
-    i = eol + 1;
-  }
-}
-
-/// Position of the last non-space char at or before `i` (npos if none).
-std::size_t skip_ws_back(const std::string& text, std::size_t i) {
-  while (i != std::string::npos && i < text.size() && is_space(text[i])) {
-    if (i == 0) return std::string::npos;
-    --i;
-  }
-  return i;
-}
-
-/// The identifier ending at position `end` (inclusive); empty if `end` is
-/// not an identifier char. `begin_out` receives its first char's position.
-std::string ident_ending_at(const std::string& text, std::size_t end,
-                            std::size_t& begin_out) {
-  if (end == std::string::npos || !is_ident_char(text[end])) return "";
-  std::size_t b = end;
-  while (b > 0 && is_ident_char(text[b - 1])) --b;
-  begin_out = b;
-  if (std::isdigit(static_cast<unsigned char>(text[b])) != 0) return "";
-  return text.substr(b, end - b + 1);
-}
-
-/// Position of the first non-space char at or after `i`.
-std::size_t skip_ws_fwd(const std::string& text, std::size_t i) {
-  while (i < text.size() && is_space(text[i])) ++i;
-  return i;
-}
-
-/// Match a closing bracket backwards: `at` holds the closer; returns the
-/// position of the matching opener, or npos on failure.
-std::size_t match_back(const std::string& text, std::size_t at, char open,
-                       char close) {
-  int depth = 0;
-  for (std::size_t i = at;; --i) {
-    if (text[i] == close) ++depth;
-    if (text[i] == open && --depth == 0) return i;
-    if (i == 0) break;
-  }
-  return std::string::npos;
-}
-
 /// True when the `{` at `brace` closes a lambda introducer: `[...](...)` or
 /// `[...]`, optionally with mutable/noexcept/const and a trailing return
-/// type in between.
-bool is_lambda_brace(const std::string& text, std::size_t brace) {
+/// type in between. `params` receives the parameter list's '(' (`brace`
+/// when there is none).
+bool is_lambda_brace(const std::string& text, std::size_t brace,
+                     std::size_t& params) {
+  params = brace;
   std::size_t i = skip_ws_back(text, brace == 0 ? std::string::npos
                                                 : brace - 1);
   // Skip trailing specifiers and a `-> Type` clause: identifier tokens and
@@ -101,6 +40,7 @@ bool is_lambda_brace(const std::string& text, std::size_t brace) {
   if (text[i] == ')') {
     const std::size_t open = match_back(text, i, '(', ')');
     if (open == std::string::npos || open == 0) return false;
+    params = open;
     i = skip_ws_back(text, open - 1);
     if (i == std::string::npos || text[i] != ']') return false;
   }
@@ -144,27 +84,85 @@ std::size_t skip_template_prefix(const std::string& head) {
   }
 }
 
-struct HeadToken {
-  std::string text;
-  std::size_t pos = 0;
-};
+/// Attribute-like macros (`STARLAB_GUARDED_BY(mu_)`) and `alignas(...)`:
+/// their argument group is not a parameter list.
+bool is_attribute_call(const std::string& tok) {
+  if (tok == "alignas") return true;
+  return std::none_of(tok.begin(), tok.end(), [](char c) {
+    return std::islower(static_cast<unsigned char>(c)) != 0;
+  });
+}
 
-std::vector<HeadToken> head_tokens(const std::string& head,
-                                   std::size_t begin) {
-  std::vector<HeadToken> out;
-  std::size_t i = begin;
-  while (i < head.size()) {
-    if (is_ident_char(head[i]) &&
-        std::isdigit(static_cast<unsigned char>(head[i])) == 0) {
-      std::size_t e = i;
-      while (e < head.size() && is_ident_char(head[e])) ++e;
-      out.push_back({head.substr(i, e - i), i});
-      i = e;
-    } else {
-      ++i;
+/// The data members declared by the class-scope statement
+/// text[begin, end): one per declarator, named by the last identifier in
+/// front of its initializer. Functions, types, aliases, friends and static
+/// members declare none.
+void parse_member_statement(const std::string& text, std::size_t begin,
+                            std::size_t end, const std::string& owner,
+                            const SourceFile& file, std::size_t file_index,
+                            std::vector<FieldDecl>& out) {
+  static const std::set<std::string> kNoField = {
+      "static", "using",     "typedef", "friend",        "template",
+      "operator", "enum",    "struct",  "class",         "union",
+      "namespace", "explicit", "virtual", "static_assert", "concept"};
+  std::vector<FieldDecl> found;
+  std::string name;
+  std::size_t name_pos = 0;
+  std::size_t idents = 0;
+  int depth = 0;  // (), [], {}
+  int angle = 0;
+  bool in_init = false;
+  const auto flush = [&] {
+    if (!name.empty() && (idents >= 2 || !found.empty())) {
+      found.push_back({name, owner, file_index, file.line_of(name_pos)});
+    }
+    name.clear();
+    idents = 0;
+    in_init = false;
+  };
+  for (std::size_t k = begin; k < end; ++k) {
+    const char c = text[k];
+    if (is_ident_char(c) && std::isdigit(static_cast<unsigned char>(c)) == 0) {
+      std::size_t e = k;
+      while (e < end && is_ident_char(text[e])) ++e;
+      const std::string tok = text.substr(k, e - k);
+      const std::size_t after = skip_ws_fwd(text, e);
+      k = e - 1;
+      if (depth != 0 || in_init || angle != 0) continue;
+      if ((tok == "public" || tok == "private" || tok == "protected") &&
+          after < end && text[after] == ':') {
+        k = after;
+        continue;
+      }
+      if (kNoField.count(tok) != 0) return;
+      if (after < end && text[after] == '(' && is_attribute_call(tok)) {
+        k = skip_group(text, after, '(', ')') - 1;
+        continue;
+      }
+      name = tok;
+      name_pos = k + 1 - tok.size();
+      ++idents;
+      continue;
+    }
+    if (depth == 0 && !in_init) {
+      if (c == '<') ++angle;
+      if (c == '>' && angle > 0) --angle;
+      if (angle == 0 && c == '(') return;  // a function declaration
+      if (angle == 0 && (c == '=' || c == '{' ||
+                         (c == ':' && text[k + 1] != ':' &&
+                          text[k - 1] != ':'))) {
+        in_init = true;
+      }
+    }
+    if (c == '(' || c == '[' || c == '{') ++depth;
+    if ((c == ')' || c == ']' || c == '}') && depth > 0) --depth;
+    if (c == ',' && depth == 0 && (angle == 0 || in_init)) {
+      angle = 0;
+      flush();
     }
   }
-  return out;
+  flush();
+  out.insert(out.end(), found.begin(), found.end());
 }
 
 const std::set<std::string>& control_keywords() {
@@ -190,8 +188,19 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
     std::string name;  // empty for blocks / anonymous scopes
     std::size_t def_index = SIZE_MAX;
     int paren_depth = 0;  // depth at push; statement `;` resets heads here
+    std::size_t class_index = SIZE_MAX;
+    /// A brace initializer inside parentheses (`f(x = {})`): the head
+    /// around it continues past it.
+    bool in_parens = false;
   };
   std::vector<Scope> stack;
+  struct ClassBody {
+    std::string qualified;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    bool is_enum = false;
+  };
+  std::vector<ClassBody> classes;
 
   const auto qualified_prefix = [&]() {
     std::string q;
@@ -260,6 +269,8 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
           if (s.kind == Kind::kFunction && s.def_index != SIZE_MAX) {
             out.functions[s.def_index].body_end = i + 1;
           }
+          if (s.class_index != SIZE_MAX) classes[s.class_index].end = i + 1;
+          if (s.in_parens) break;
         }
         head_start = i + 1;
         break;
@@ -267,7 +278,8 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
       case '{': {
         Scope scope{Kind::kBlock, "", SIZE_MAX, paren_depth};
         const std::size_t brace_line = file.line_of(i);
-        if (is_lambda_brace(text, i)) {
+        std::size_t lambda_params = i;
+        if (is_lambda_brace(text, i, lambda_params)) {
           FunctionDef def;
           def.name = "<lambda>";
           const std::string prefix = qualified_prefix();
@@ -278,6 +290,7 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
           def.body_begin = i;
           def.body_end = n;
           def.init_begin = i;
+          def.params_begin = lambda_params;
           def.is_lambda = true;
           def.hotpath = file.hotpath_marked(brace_line);
           scope.kind = Kind::kFunction;
@@ -286,8 +299,8 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
           out.functions.push_back(def);
         } else if (paren_depth == base_depth()) {
           const std::string head = text.substr(head_start, i - head_start);
-          const std::vector<HeadToken> toks =
-              head_tokens(head, skip_template_prefix(head));
+          const std::vector<Ident> toks =
+              identifiers(head, skip_template_prefix(head));
           // namespace?
           std::size_t ns_at = SIZE_MAX;
           std::size_t class_at = SIZE_MAX;
@@ -335,6 +348,11 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
               if (skip.count(toks[t].text) == 0) scope.name = toks[t].text;
             }
             if (scope.name.empty()) scope.name = "(anon)";
+            const std::string prefix = qualified_prefix();
+            scope.class_index = classes.size();
+            classes.push_back({(prefix.empty() ? "" : prefix + "::") +
+                                   scope.name,
+                               i, n, toks[class_at].text == "enum"});
           } else {
             // Function definition: first head-level `ident(` whose name is
             // not a control keyword. Constructor init lists keep the
@@ -402,22 +420,31 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
               def.body_begin = i;
               def.body_end = n;
               def.init_begin = i;
+              def.params_begin = head_start + params_open;
               // A constructor init list starts at the first lone ':' after
-              // the parameter list.
-              int depth = 0;
-              for (std::size_t k = params_open; k < head.size(); ++k) {
-                if (head[k] == '(') ++depth;
-                if (head[k] == ')') --depth;
-                if (depth != 0 || head[k] != ':') continue;
+              // the parameter list; a `const` between the two marks a const
+              // member function.
+              const std::size_t params_close =
+                  skip_group(head, params_open, '(', ')');
+              std::size_t qualifiers_end = head.size();
+              for (std::size_t k = params_close; k < head.size(); ++k) {
+                if (head[k] != ':') continue;
                 if (k + 1 < head.size() && head[k + 1] == ':') {
                   ++k;
                   continue;
                 }
                 def.init_begin = head_start + k;
+                qualifiers_end = k;
                 break;
               }
+              for (const Ident& t : toks) {
+                if (t.pos >= params_close && t.pos < qualifiers_end &&
+                    t.text == "const") {
+                  def.is_const = true;
+                }
+              }
               bool macro = false;
-              for (const HeadToken& t : toks) {
+              for (const Ident& t : toks) {
                 if (t.text == "STARLAB_HOTPATH") macro = true;
               }
               def.hotpath = macro || file.hotpath_marked(brace_line) ||
@@ -429,14 +456,43 @@ FileIndex index_file(const SourceFile& file, std::size_t file_index) {
             }
           }
         }
+        scope.in_parens =
+            scope.kind == Kind::kBlock && paren_depth != base_depth();
         stack.push_back(scope);
-        head_start = i + 1;
+        if (!scope.in_parens) head_start = i + 1;
         break;
       }
       default:
         break;
     }
     ++i;
+  }
+
+  // Data members: split each class body into statements at `;`, stepping
+  // over brace groups (initializers, nested classes) and member-function
+  // bodies, which end a statement without one.
+  std::map<std::size_t, std::size_t> function_bodies;
+  for (const FunctionDef& def : out.functions) {
+    if (!def.is_lambda) function_bodies[def.body_begin] = def.body_end;
+  }
+  for (const ClassBody& cls : classes) {
+    if (cls.is_enum) continue;
+    std::size_t stmt = cls.begin + 1;
+    for (std::size_t k = cls.begin + 1; k + 1 < cls.end; ++k) {
+      if (text[k] == '(') {
+        k = skip_group(text, k, '(', ')') - 1;
+      } else if (text[k] == '{') {
+        const auto fn = function_bodies.find(k);
+        if (fn != function_bodies.end()) stmt = fn->second;
+        k = (fn != function_bodies.end() ? fn->second
+                                         : skip_group(text, k, '{', '}')) -
+            1;
+      } else if (text[k] == ';') {
+        parse_member_statement(text, stmt, k, cls.qualified, file, file_index,
+                               out.fields);
+        stmt = k + 1;
+      }
+    }
   }
   return out;
 }

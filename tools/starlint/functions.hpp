@@ -14,7 +14,9 @@
 //   * every `check::Mutex` declaration together with the qualified scope
 //     that owns it — the lock-order pass keys mutex identity on
 //     `<owner>::<name>` so the many classes whose member is just `mu_` stay
-//     distinct.
+//     distinct;
+//   * every non-static data member of a class, struct or union, in
+//     declaration order — the option-reachability pass looks for writes.
 //
 // Still no libclang: this is the same hand-rolled tokenizer philosophy as
 // rules.cpp, tuned on this codebase's idioms (out-of-class definitions,
@@ -51,7 +53,12 @@ struct FunctionDef {
   /// Start of a constructor's init list (its ':'); body_begin otherwise.
   /// Calls in [init_begin, body_begin) run as part of the function.
   std::size_t init_begin = 0;
+  /// The '(' opening the parameter list; body_begin when there is none
+  /// (`[] { ... }`).
+  std::size_t params_begin = 0;
   bool hotpath = false;
+  /// A member function declared `const`.
+  bool is_const = false;
   bool is_lambda = false;
 };
 
@@ -65,12 +72,23 @@ struct MutexDecl {
   std::size_t line = 0;
 };
 
+/// One non-static data member (`double x = 0.0;`, `int a, b;`).
+struct FieldDecl {
+  std::string name;
+  /// Qualified name of the declaring class ("starlab::ml::ForestConfig").
+  std::string owner;
+  std::size_t file_index = 0;
+  std::size_t line = 0;
+};
+
 struct FileIndex {
   std::vector<FunctionDef> functions;
   std::vector<MutexDecl> mutexes;
+  std::vector<FieldDecl> fields;
 };
 
-/// Index every function definition and mutex declaration in `file`.
+/// Index every function definition, mutex declaration and data member in
+/// `file`.
 /// `file_index` is stamped into the records so multi-file graphs can map
 /// back to their sources.
 [[nodiscard]] FileIndex index_file(const SourceFile& file,

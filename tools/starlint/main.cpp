@@ -238,6 +238,9 @@ int main(int argc, char** argv) {
       findings.insert(findings.end(), locks.begin(), locks.end());
       const std::vector<starlint::Finding> dead = graph.reachability_findings();
       findings.insert(findings.end(), dead.begin(), dead.end());
+      const std::vector<starlint::Finding> constant =
+          graph.option_reachability_findings();
+      findings.insert(findings.end(), constant.begin(), constant.end());
     }
 
     if (!opt.only.empty()) {

@@ -4,36 +4,11 @@
 #include <cctype>
 #include <stdexcept>
 
+#include "scan.hpp"
+
 namespace starlint {
 
 namespace {
-
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-/// One identifier occurrence in scrubbed text.
-struct Ident {
-  std::string text;
-  std::size_t pos = 0;
-};
-
-std::vector<Ident> identifiers(const std::string& text) {
-  std::vector<Ident> out;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    if (is_ident_char(text[i]) &&
-        std::isdigit(static_cast<unsigned char>(text[i])) == 0) {
-      std::size_t end = i;
-      while (end < text.size() && is_ident_char(text[end])) ++end;
-      out.push_back({text.substr(i, end - i), i});
-      i = end;
-    } else {
-      ++i;
-    }
-  }
-  return out;
-}
 
 /// Subsystem of a repo-relative path "src/<subsys>/..." ("" otherwise).
 std::string subsystem_of(const std::string& path) {
@@ -263,7 +238,8 @@ const std::vector<std::string>& all_rule_ids() {
       "det-wallclock",      "det-getenv",      "det-unordered-iter",
       "raw-unit-double",    "nodiscard-loader", "hotpath-alloc",
       "hotpath-lock",       "hotpath-throw",   "hotpath-io",
-      "hotpath-unknown",    "lock-order",      "reachability"};
+      "hotpath-unknown",    "lock-order",      "reachability",
+      "option-reachability"};
   return ids;
 }
 
@@ -301,6 +277,9 @@ std::string rule_description(const std::string& rule) {
   if (rule == "reachability")
     return "every src/ function must be reachable from an entry point under "
            "bench/, examples/, tools/, fuzz/ or perfbench/";
+  if (rule == "option-reachability")
+    return "every src/ data member must be written by a path an entry point "
+           "reaches; one that is not always holds its default";
   throw std::invalid_argument("unknown starlint rule: " + rule);
 }
 
