@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the hot paths: SGP4 propagation, the
 // whole-sky visibility query, DTW matching, one slot's satellite
-// identification, forest inference, obstruction-map XOR and the
+// identification, the §4 pipeline over a few slots, forest inference,
+// obstruction-map XOR and the
 // Mann-Whitney test. These bound the cost of scaling campaigns
 // to longer durations and denser constellations. Besides the console table,
 // per-section ns/op land in BENCH_perf.json (one RunReport line, git SHA
@@ -15,6 +16,7 @@
 
 #include "bench_common.hpp"
 #include "core/campaign.hpp"
+#include "core/pipeline.hpp"
 #include "exec/thread_pool.hpp"
 
 using namespace starlab;
@@ -172,11 +174,12 @@ void BM_DtwDistance(benchmark::State& state) {
 BENCHMARK(BM_DtwDistance)->Arg(15)->Arg(60)->Arg(240);
 
 void IdentifySlot(benchmark::State& state, const core::Scenario& s) {
-  // One slot's §4 identification against the full catalog: the candidate
-  // query, the lower-bound ordering, and path sampling plus both DTW
-  // traversals for the candidates the bound cannot rule out. The isolated
-  // frame is the serving satellite's painted trajectory for the first slot
-  // with an allocation.
+  // One slot's §4 identification against the full catalog: the lower-bound
+  // ordering, and path sampling plus both DTW traversals for the candidates
+  // the bound cannot rule out. The slot's sky is queried once, outside the
+  // timed loop, as InferencePipeline::run queries it for allocation. The
+  // isolated frame is the serving satellite's painted trajectory for the
+  // first slot with an allocation.
   const ground::Terminal& terminal = s.terminal(0);
   const time::SlotGrid& grid = s.grid();
   time::SlotIndex slot = s.first_slot();
@@ -191,9 +194,11 @@ void IdentifySlot(benchmark::State& state, const core::Scenario& s) {
                                     grid.slot_end(slot), isolated);
   const match::SatelliteIdentifier identifier(s.catalog(),
                                               obsmap::MapGeometry{}, grid);
+  const std::vector<ground::Candidate> sky = terminal.candidates(
+      s.catalog(), time::JulianDate::from_unix_seconds(grid.slot_mid(slot)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        identifier.identify_isolated(terminal, slot, isolated));
+        identifier.identify_isolated(terminal, slot, isolated, sky));
   }
 }
 
@@ -206,6 +211,35 @@ void BM_IdentifySlotGen2(benchmark::State& state) {
   IdentifySlot(state, bench::gen2_scenario());
 }
 BENCHMARK(BM_IdentifySlotGen2)->Name("BM_IdentifySlot/gen2");
+
+/// Full-scale slots per BM_PipelineRun iteration (five minutes of one
+/// terminal).
+constexpr int kPipelineSlots = 20;
+
+void PipelineRun(benchmark::State& state, const core::Scenario& s) {
+  // The §4 pipeline end to end for one terminal: per slot the sky query
+  // and allocation, painting the frame, and identification against that
+  // same sky. The per-slot sum the layer benches above only bound.
+  const core::InferencePipeline pipeline(s);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        pipeline.run(0, kPipelineSlots * s.grid().period_seconds()));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kPipelineSlots);
+}
+
+void BM_PipelineRun(benchmark::State& state) {
+  PipelineRun(state, bench::full_scenario());
+}
+BENCHMARK(BM_PipelineRun)->Unit(benchmark::kMillisecond);
+
+void BM_PipelineRunGen2(benchmark::State& state) {
+  PipelineRun(state, bench::gen2_scenario());
+}
+BENCHMARK(BM_PipelineRunGen2)
+    ->Name("BM_PipelineRun/gen2")
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ObstructionMapXor(benchmark::State& state) {
   obsmap::ObstructionMap a, b;

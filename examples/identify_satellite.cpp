@@ -28,7 +28,13 @@ int main(int argc, char** argv) {
   int correct = 0, decided = 0;
   for (time::SlotIndex s = scenario.first_slot();
        s < scenario.first_slot() + num_slots; ++s) {
-    const auto truth = scenario.global_scheduler().allocate(terminal, s);
+    // The slot's sky: the scheduler allocates from it and the identifier
+    // scores it.
+    const std::vector<ground::Candidate> sky = terminal.candidates(
+        scenario.catalog(),
+        time::JulianDate::from_unix_seconds(scenario.grid().slot_mid(s)));
+    const auto truth =
+        scenario.global_scheduler().allocate_from(terminal, s, sky);
     const obsmap::ObstructionMap frame = recorder.record_slot(truth);
 
     const auto when =
@@ -41,7 +47,7 @@ int main(int argc, char** argv) {
     }
 
     const match::Identification id =
-        identifier.identify(terminal, s, *prev, frame);
+        identifier.identify(terminal, s, *prev, frame, sky);
     prev = frame;
 
     std::printf("slot @ %s: %2d candidates, trajectory %2zu px",

@@ -161,6 +161,8 @@ bool Catalog::sky_entry_from_snapshot(std::size_t i, const Snapshot& snap,
 
 bool Catalog::sky_entry_at(std::size_t i, const geo::ObserverFrame& observer,
                            const time::JulianDate& jd, double unix_sec,
+                           const geo::TemeToEcefRotation& rot,
+                           const geo::TemeKm& sun_teme,
                            geo::Deg min_elevation, SkyEntry& e) const {
   sgp4::StateVector st;
   try {
@@ -169,7 +171,7 @@ bool Catalog::sky_entry_at(std::size_t i, const geo::ObserverFrame& observer,
     return false;  // decayed satellites silently leave the sky
   }
   const geo::TemeKm teme(st.position_km);
-  const geo::EcefKm ecef = geo::teme_to_ecef(teme, jd);
+  const geo::EcefKm ecef = rot.apply(teme);
   if ((ecef - observer.ecef_km).norm() > kCullRangeKm) return false;
 
   const geo::LookAngles look = geo::look_angles(observer, ecef);
@@ -178,7 +180,7 @@ bool Catalog::sky_entry_at(std::size_t i, const geo::ObserverFrame& observer,
   e.norad_id = records_[i].tle.norad_id;
   e.catalog_index = i;
   e.look = look;
-  e.sunlit = sun::is_sunlit(teme, jd);
+  e.sunlit = sun::is_sunlit(teme, sun_teme);
   e.age_days = records_[i].age_days(unix_sec);
   e.position_teme_km = teme;
   return true;
@@ -236,9 +238,12 @@ std::vector<SkyEntry> Catalog::visible_from(const geo::Geodetic& observer,
   std::vector<SkyEntry> out;
   const double unix_sec = jd.to_unix_seconds();
   const geo::ObserverFrame frame(observer);
+  const geo::TemeToEcefRotation rot = geo::teme_to_ecef_rotation(jd);
+  const geo::TemeKm sun_teme = sun::sun_position_teme(jd);
   SkyEntry e;
   for (const std::uint32_t i : cand) {
-    if (sky_entry_at(i, frame, jd, unix_sec, min_elevation, e)) {
+    if (sky_entry_at(i, frame, jd, unix_sec, rot, sun_teme, min_elevation,
+                     e)) {
       out.push_back(e);
     }
   }
@@ -251,10 +256,13 @@ std::vector<SkyEntry> Catalog::visible_from_scan(
   std::vector<SkyEntry> out;
   const double unix_sec = jd.to_unix_seconds();
   const geo::ObserverFrame frame(observer);
+  const geo::TemeToEcefRotation rot = geo::teme_to_ecef_rotation(jd);
+  const geo::TemeKm sun_teme = sun::sun_position_teme(jd);
 
   SkyEntry e;
   for (std::size_t i = 0; i < records_.size(); ++i) {
-    if (sky_entry_at(i, frame, jd, unix_sec, min_elevation, e)) {
+    if (sky_entry_at(i, frame, jd, unix_sec, rot, sun_teme, min_elevation,
+                     e)) {
       out.push_back(e);
     }
   }

@@ -12,6 +12,7 @@
 
 #include "constellation/spatial_index.hpp"
 #include "constellation/synthesizer.hpp"
+#include "geo/frames.hpp"
 #include "geo/geodetic.hpp"
 #include "geo/topocentric.hpp"
 #include "sgp4/batch.hpp"
@@ -63,7 +64,9 @@ class Catalog {
   /// satellites" set (~40 entries for a Starlink-density constellation at
   /// 25 deg). Served through the spatial index (O(visible) satellites
   /// propagated); falls back to visible_from_scan outside the index's
-  /// validity window. Byte-identical to the scan either way.
+  /// validity window. Byte-identical to the scan either way. Like
+  /// propagate_all_batch, each call evaluates the TEME->ECEF rotation (GMST)
+  /// and the solar ephemeris once for `jd`, not once per satellite tested.
   [[nodiscard]] std::vector<SkyEntry> visible_from(
       const geo::Geodetic& observer, const time::JulianDate& jd,
       geo::Deg min_elevation = geo::Deg(25.0)) const;
@@ -135,10 +138,16 @@ class Catalog {
 
   /// The exact per-satellite visibility check shared by the indexed and
   /// exhaustive paths (this sharing is what makes them byte-identical).
-  /// Returns true and fills `e` when satellite `i` clears the cut.
+  /// Returns true and fills `e` when satellite `i` clears the cut. `rot`
+  /// and `sun_teme` are teme_to_ecef_rotation(jd) and sun_position_teme(jd),
+  /// evaluated once by the calling query (its locals, so concurrent queries
+  /// share nothing); applying them is bit-identical to the per-`jd`
+  /// geo::teme_to_ecef and sun::is_sunlit.
   bool sky_entry_at(std::size_t i, const geo::ObserverFrame& observer,
                     const time::JulianDate& jd, double unix_sec,
-                    geo::Deg min_elevation, SkyEntry& e) const;
+                    const geo::TemeToEcefRotation& rot,
+                    const geo::TemeKm& sun_teme, geo::Deg min_elevation,
+                    SkyEntry& e) const;
 
   /// Snapshot-based variant of sky_entry_at.
   bool sky_entry_from_snapshot(std::size_t i, const Snapshot& snap,

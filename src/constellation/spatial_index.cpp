@@ -105,6 +105,8 @@ void SpatialIndex::build(const sgp4::SoaConstants& soa) {
     if (inserted) {
       Plane p;
       p.incl = c.inclo;
+      p.sin_incl = std::sin(c.inclo);
+      p.cos_incl = std::cos(c.inclo);
       p.node_ref = node_ref;
       p.nodedot = c.nodedot;
       planes_.push_back(std::move(p));
@@ -155,12 +157,10 @@ bool SpatialIndex::candidates(const geo::Geodetic& observer,
     const double node = plane.node_ref + plane.nodedot * dtq;
     const double sin_node = std::sin(node);
     const double cos_node = std::cos(node);
-    const double sin_incl = std::sin(plane.incl);
-    const double cos_incl = std::cos(plane.incl);
     // Direction at argument of latitude u is P cos u + Q sin u.
     const double a = o.x * cos_node + o.y * sin_node;
-    const double b = -o.x * cos_incl * sin_node + o.y * cos_incl * cos_node +
-                     o.z * sin_incl;
+    const double b = -o.x * plane.cos_incl * sin_node +
+                     o.y * plane.cos_incl * cos_node + o.z * plane.sin_incl;
     const double hyp = std::hypot(a, b);
     if (hyp < cl) continue;  // the whole circle misses the cone
 

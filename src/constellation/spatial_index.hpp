@@ -73,6 +73,8 @@ class SpatialIndex {
  private:
   struct Plane {
     double incl = 0.0;      ///< representative inclination [rad]
+    double sin_incl = 0.0;  ///< sin(incl), evaluated once at build
+    double cos_incl = 1.0;  ///< cos(incl), evaluated once at build
     double node_ref = 0.0;  ///< representative RAAN at t_ref [rad]
     double nodedot = 0.0;   ///< representative nodal rate [rad/min]
     double r_sat_max = 0.0; ///< max member geocentric radius bound [km]

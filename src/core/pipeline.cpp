@@ -33,6 +33,13 @@ struct PipelineMetrics {
   }
 };
 
+/// The entries of a slot's sky the scheduler could have picked: what the
+/// row keeps, after identification has scored all of them.
+std::vector<ground::Candidate> usable_only(std::vector<ground::Candidate> sky) {
+  std::erase_if(sky, [](const ground::Candidate& c) { return !c.usable(); });
+  return sky;
+}
+
 }  // namespace
 
 void PipelineResult::summarize() {
@@ -147,8 +154,9 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
       polls_missed_since_prev = 0;
     }
 
-    // The slot's one sky query: allocation picks from it, and the row keeps
-    // its usable entries for append_inferred_rows.
+    // The slot's one sky query: allocation picks from it, identification
+    // scores all of it, and the row keeps its usable entries for
+    // append_inferred_rows.
     std::vector<ground::Candidate> sky;
     const std::optional<scheduler::Allocation> truth = [&] {
       const obs::ObsSpan span("pipeline.allocate", st_allocate);
@@ -166,8 +174,6 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
     SlotIdentification row;
     row.slot = s;
     if (truth.has_value()) row.truth_norad = truth->norad_id;
-    std::erase_if(sky, [](const ground::Candidate& c) { return !c.usable(); });
-    row.sky = std::move(sky);
 
     {
       const obs::ObsSpan span("pipeline.observe", st_observe);
@@ -180,6 +186,7 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
       }
     }
     if ((row.quality & quality::kFrameMissing) != 0) {
+      row.sky = usable_only(std::move(sky));
       result.rows.push_back(std::move(row));
       ++polls_missed_since_prev;
       continue;
@@ -190,7 +197,7 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
 
       const obs::ObsSpan span("pipeline.identify", st_identify);
       const match::Identification id =
-          identifier.identify(terminal, s, *prev_frame, frame);
+          identifier.identify(terminal, s, *prev_frame, frame, sky);
       row.num_candidates = id.num_candidates;
       row.trajectory_pixels = id.trajectory_pixels;
       row.confidence = id.confidence;
@@ -201,6 +208,7 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
         row.inferred_norad = id.best->norad_id;
         row.dtw = id.best->dtw;
       }
+      row.sky = usable_only(std::move(sky));
       result.rows.push_back(std::move(row));
     }
     prev_frame = std::move(frame);

@@ -32,7 +32,8 @@ struct SlotIdentification {
   double confidence = 0.0;    ///< identifier confidence in `inferred_norad`
   match::AbstainReason abstain = match::AbstainReason::kNone;
   /// The usable candidates at the slot midpoint, from the one sky query
-  /// that allocation used; append_inferred_rows records them as is.
+  /// that allocation and identification used; append_inferred_rows records
+  /// them as is.
   std::vector<ground::Candidate> sky;
 
   [[nodiscard]] bool abstained() const {

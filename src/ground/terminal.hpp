@@ -60,7 +60,8 @@ class Terminal {
 
   /// candidates() against catalog snapshots precomputed for this instant by
   /// propagate_all(). Its only callers are the benchmark driver's per-layer
-  /// replay and tests; the shipped paths call candidates().
+  /// replay (directly and through SatelliteIdentifier's snapshot overload)
+  /// and tests; the shipped paths call candidates().
   [[nodiscard]] std::vector<Candidate> candidates_from_snapshots(
       const constellation::Catalog& catalog,
       std::span<const constellation::Catalog::Snapshot> snapshots,

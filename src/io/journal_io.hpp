@@ -40,6 +40,7 @@ namespace starlab::io {
 struct JournalConfig {
   std::string path;  ///< base path; segments live at path.segNNNNNN
   /// Rotate to a new segment once the current one reaches this size.
+  // starlint:allow(option-reachability): test seam that forces segment rotation
   std::uint64_t segment_bytes = 1u << 20;
   /// fdatasync after every append (the durability the resume contract
   /// assumes). The degradation ladder sheds this first.

@@ -118,7 +118,7 @@ std::vector<Point2> SatelliteIdentifier::candidate_path(
 Identification SatelliteIdentifier::identify_isolated(
     const ground::Terminal& terminal, time::SlotIndex slot,
     const obsmap::ObstructionMap& isolated,
-    std::span<const constellation::Catalog::Snapshot> snapshots) const {
+    std::span<const ground::Candidate> sky) const {
   const obs::ObsSpan span("identifier.identify");
   const IdentifierMetrics& metrics = IdentifierMetrics::get();
   metrics.slots.add();
@@ -161,22 +161,11 @@ Identification SatelliteIdentifier::identify_isolated(
   // The map does not encode direction of motion: score both traversals.
   std::vector<Point2> reversed(traj.rbegin(), traj.rend());
 
-  const time::JulianDate jd_mid =
-      time::JulianDate::from_unix_seconds(grid_.slot_mid(slot));
-  // Candidate query above the terminal's field-of-view floor: through the
-  // spatial index, or against the caller's whole-catalog snapshots when
-  // provided. Both produce the same entries in the same order.
-  const std::vector<constellation::SkyEntry> candidates =
-      snapshots.empty()
-          ? catalog_.visible_from(terminal.site(), jd_mid,
-                                  terminal.min_elevation())
-          : catalog_.visible_from_snapshots(snapshots, terminal.site(), jd_mid,
-                                            terminal.min_elevation());
-  out.num_candidates = static_cast<int>(candidates.size());
-  metrics.candidates_per_slot.observe(static_cast<double>(candidates.size()));
+  out.num_candidates = static_cast<int>(sky.size());
+  metrics.candidates_per_slot.observe(static_cast<double>(sky.size()));
 
   // §4's hot loop, best-first. A candidate's path stays within its reach R
-  // of its plane point at mid-slot (the query's own look, free here), so
+  // of its plane point at mid-slot (the sky entry's own look, free here), so
   // dtw_lower_bound bounds its score before any sampling. Scoring in
   // ascending bound order, the first bound strictly above the runner-up's
   // score rules out every later candidate: `ranked` is the exact top two.
@@ -186,14 +175,14 @@ Identification SatelliteIdentifier::identify_isolated(
   const double half_slot_s = 0.5 * grid_.period_seconds();
   struct Bounded {
     double lower_bound;
-    std::size_t k;  ///< index into `candidates`: ties keep candidate order
+    std::size_t k;  ///< index into `sky`: ties keep candidate order
     Point2 mid;
     double reach;
   };
   std::vector<Bounded> order;
-  order.reserve(candidates.size());
-  for (std::size_t k = 0; k < candidates.size(); ++k) {
-    const constellation::SkyEntry& c = candidates[k];
+  order.reserve(sky.size());
+  for (std::size_t k = 0; k < sky.size(); ++k) {
+    const constellation::SkyEntry& c = sky[k].sky;
     const Point2 mid = sky_to_plane(
         obsmap::SkyPoint::from(c.look.azimuth(), c.look.elevation()),
         geometry_);
@@ -220,7 +209,7 @@ Identification SatelliteIdentifier::identify_isolated(
   // mid-slot; the error reaches identify's caller.
   for (const Bounded& b : order) {
     if (top.size() == kTopK && b.lower_bound > top.back().score.dtw) break;
-    const constellation::SkyEntry& c = candidates[b.k];
+    const constellation::SkyEntry& c = sky[b.k].sky;
     const std::vector<Point2> path = candidate_path(c.catalog_index, sampler);
     if (path.empty()) continue;
     STARLAB_ENSURE(within_reach(path, b.mid, b.reach),
@@ -295,7 +284,7 @@ Identification SatelliteIdentifier::identify(
     const ground::Terminal& terminal, time::SlotIndex slot,
     const obsmap::ObstructionMap& prev_frame,
     const obsmap::ObstructionMap& curr_frame,
-    std::span<const constellation::Catalog::Snapshot> snapshots) const {
+    std::span<const ground::Candidate> sky) const {
   // A dish accumulates monotonically between reboots: if the previous frame
   // is NOT a subset of the current one, the dish was reset in between and
   // the current frame holds only the newest trajectory — use it directly
@@ -307,13 +296,25 @@ Identification SatelliteIdentifier::identify(
   const bool reset =
       pixels_lost(prev_frame, curr_frame) > kResetPixelTolerance;
   if (reset) {
-    Identification id = identify_isolated(terminal, slot, curr_frame, snapshots);
+    Identification id = identify_isolated(terminal, slot, curr_frame, sky);
     id.reset_detected = true;
     IdentifierMetrics::get().resets.add();
     return id;
   }
   return identify_isolated(terminal, slot, curr_frame.exclusive_or(prev_frame),
-                           snapshots);
+                           sky);
+}
+
+Identification SatelliteIdentifier::identify(
+    const ground::Terminal& terminal, time::SlotIndex slot,
+    const obsmap::ObstructionMap& prev_frame,
+    const obsmap::ObstructionMap& curr_frame,
+    std::span<const constellation::Catalog::Snapshot> snapshots) const {
+  const time::JulianDate jd_mid =
+      time::JulianDate::from_unix_seconds(grid_.slot_mid(slot));
+  return identify(terminal, slot, prev_frame, curr_frame,
+                  terminal.candidates_from_snapshots(catalog_, snapshots,
+                                                     jd_mid));
 }
 
 }  // namespace starlab::match

@@ -6,7 +6,10 @@
 // For one 15-second slot: take the XOR-isolated trajectory, chain it into a
 // sequence, and compare it by DTW against the painted sky paths of the
 // candidate satellites in the terminal's field of view (propagated from
-// TLEs). The candidate with the lowest DTW distance is declared the serving
+// TLEs). The candidates are the slot's sky, which the caller has already
+// queried once (Terminal::candidates at the slot midpoint, the same set the
+// global scheduler allocates from); the identifier makes no sky query of its
+// own. The candidate with the lowest DTW distance is declared the serving
 // satellite. Both traversal directions of the isolated path are tried
 // because the map does not encode motion direction. Only the two best
 // scores decide the slot, so candidates are scored best-first by a lower
@@ -109,27 +112,35 @@ class SatelliteIdentifier {
       : catalog_(catalog), geometry_(geometry), grid_(grid), config_(config) {}
 
   /// Identify the satellite serving `terminal` during `slot`, from the
-  /// obstruction-map frames fetched at the end of slot-1 and slot. Without
-  /// `snapshots` the candidates come from the catalog's spatial index in
-  /// O(visible). A caller that already holds a whole-catalog propagation for
-  /// the slot midpoint (one shared by several terminals) may pass it as
-  /// `snapshots` instead; both give the same candidates.
+  /// obstruction-map frames fetched at the end of slot-1 and slot. `sky` is
+  /// the terminal's field of view at the slot midpoint,
+  /// `terminal.candidates(catalog, jd_mid)`: every entry above the elevation
+  /// floor, usable or not, each of which is scored.
   [[nodiscard]] Identification identify(
       const ground::Terminal& terminal, time::SlotIndex slot,
       const obsmap::ObstructionMap& prev_frame,
       const obsmap::ObstructionMap& curr_frame,
-      std::span<const constellation::Catalog::Snapshot> snapshots = {}) const;
+      std::span<const ground::Candidate> sky) const;
 
-  /// Identify from an already-isolated trajectory frame. Candidates are
-  /// scored (path sampling + both DTW traversals) serially, in ascending
-  /// order of dtw_lower_bound around their mid-slot plane point with
-  /// plane_reach_px as the radius, until a bound exceeds the runner-up's
-  /// score. `best`, `confidence` and `ranked` equal those of scoring every
-  /// candidate.
+  /// identify() with the sky derived from a whole-catalog propagation for
+  /// the slot midpoint (`terminal.candidates_from_snapshots`). It exists for
+  /// perfbench's per-layer replay and goes with ROADMAP item 1.
+  [[nodiscard]] Identification identify(
+      const ground::Terminal& terminal, time::SlotIndex slot,
+      const obsmap::ObstructionMap& prev_frame,
+      const obsmap::ObstructionMap& curr_frame,
+      std::span<const constellation::Catalog::Snapshot> snapshots) const;
+
+  /// Identify from an already-isolated trajectory frame against the slot's
+  /// `sky` (as for identify()). Candidates are scored (path sampling + both
+  /// DTW traversals) serially, in ascending order of dtw_lower_bound around
+  /// their mid-slot plane point with plane_reach_px as the radius, until a
+  /// bound exceeds the runner-up's score. `best`, `confidence` and `ranked`
+  /// equal those of scoring every candidate.
   [[nodiscard]] Identification identify_isolated(
       const ground::Terminal& terminal, time::SlotIndex slot,
       const obsmap::ObstructionMap& isolated,
-      std::span<const constellation::Catalog::Snapshot> snapshots = {}) const;
+      std::span<const ground::Candidate> sky) const;
 
   /// The slot's path-sample instants as seen from `terminal`: one sampler
   /// serves every candidate path of the slot.

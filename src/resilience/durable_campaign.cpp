@@ -181,8 +181,6 @@ DurableCampaignResult run_campaign_durable(const core::Scenario& scenario,
   if (journaled) {
     io::JournalConfig jc;
     jc.path = durable.journal_path;
-    jc.segment_bytes = durable.segment_bytes;
-    jc.fsync = durable.fsync;
     owned_writer = std::make_unique<io::JournalWriter>(jc, durable.kill_point);
     const check::MutexLock lock(journal.mu);
     journal.writer = owned_writer.get();

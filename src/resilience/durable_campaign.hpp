@@ -37,11 +37,10 @@ struct DurableCampaignConfig {
   /// Fault storms and pre-tripped rungs for the supervised shards.
   // starlint:allow(option-reachability): test seam for task faults and rungs
   SupervisorConfig supervisor;
-  /// Journal base path; empty runs supervised but unjournaled.
+  /// Journal base path; empty runs supervised but unjournaled. The journal
+  /// keeps io::JournalConfig's segment size and per-append fdatasync (shed
+  /// at kShedObservability).
   std::string journal_path;
-  std::uint64_t segment_bytes = 1u << 20;
-  /// fdatasync per shard append (shed at kShedObservability).
-  bool fsync = true;
   /// Replay an existing journal before running; false starts clean
   /// (removes any leftover journal first).
   bool resume = true;

@@ -89,7 +89,9 @@ TEST(Components, IdentifierSurvivesStrayPixels) {
   const match::SatelliteIdentifier identifier(sc.catalog(), MapGeometry{},
                                               sc.grid());
   const match::Identification id =
-      identifier.identify(sc.terminal(0), sc.first_slot() + 1, prev, corrupted);
+      identifier.identify(sc.terminal(0), sc.first_slot() + 1, prev, corrupted,
+                          starlab::testing::slot_sky(sc, sc.terminal(0),
+                                                     sc.first_slot() + 1));
   ASSERT_TRUE(id.best.has_value());
   EXPECT_EQ(id.best->norad_id, truth->norad_id);
 }

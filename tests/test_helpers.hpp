@@ -46,6 +46,16 @@ inline const core::Scenario& tiny_scenario() {
   return *scenario;
 }
 
+/// The Gen2 constellation at the 1/8 scale of tiny_scenario().
+inline const core::Scenario& tiny_gen2_scenario() {
+  static const std::unique_ptr<core::Scenario> scenario = [] {
+    core::ScenarioConfig cfg = core::Scenario::default_config(0.125);
+    cfg.constellation.gen2 = true;
+    return std::make_unique<core::Scenario>(std::move(cfg));
+  }();
+  return *scenario;
+}
+
 /// Smallest absolute difference between two angles in degrees, in [0, 180].
 inline double angular_difference_deg(double a, double b) {
   return std::fabs(geo::wrap_180(a - b));
@@ -105,6 +115,16 @@ inline std::vector<ground::Candidate> usable_candidates(
   std::vector<ground::Candidate> all = terminal.candidates(catalog, jd);
   std::erase_if(all, [](const ground::Candidate& c) { return !c.usable(); });
   return all;
+}
+
+/// `terminal`'s sky at the middle of `slot`: what InferencePipeline::run
+/// allocates from and hands the identifier.
+inline std::vector<ground::Candidate> slot_sky(const core::Scenario& sc,
+                                               const ground::Terminal& terminal,
+                                               time::SlotIndex slot) {
+  return terminal.candidates(
+      sc.catalog(),
+      time::JulianDate::from_unix_seconds(sc.grid().slot_mid(slot)));
 }
 
 /// True if every set pixel of `a` is also set in `b`.

@@ -40,6 +40,12 @@ class IdentifierTest : public ::testing::Test {
     return out;
   }
 
+  /// Terminal 0's sky at the slot midpoint, the identifier's candidates.
+  static std::vector<ground::Candidate> sky_for(time::SlotIndex slot) {
+    return starlab::testing::slot_sky(small_scenario(),
+                                      small_scenario().terminal(0), slot);
+  }
+
   SatelliteIdentifier identifier_;
 };
 
@@ -50,7 +56,8 @@ TEST_F(IdentifierTest, IdentifiesTheServingSatellite) {
     const SlotFrames f = frames_for(s);
     if (!f.truth.has_value()) continue;
     const Identification id =
-        identifier_.identify(small_scenario().terminal(0), s, f.prev, f.curr);
+        identifier_.identify(small_scenario().terminal(0), s, f.prev, f.curr,
+                             sky_for(s));
     if (!id.best.has_value()) continue;
     ++decided;
     if (id.best->norad_id == f.truth->norad_id) ++correct;
@@ -64,7 +71,8 @@ TEST_F(IdentifierTest, RankedListIsSortedAscending) {
   const time::SlotIndex s = small_scenario().first_slot() + 2;
   const SlotFrames f = frames_for(s);
   const Identification id =
-      identifier_.identify(small_scenario().terminal(0), s, f.prev, f.curr);
+      identifier_.identify(small_scenario().terminal(0), s, f.prev, f.curr,
+                           sky_for(s));
   for (std::size_t i = 1; i < id.ranked.size(); ++i) {
     EXPECT_LE(id.ranked[i - 1].dtw, id.ranked[i].dtw);
   }
@@ -77,7 +85,8 @@ TEST_F(IdentifierTest, CandidateCountPlausible) {
   const time::SlotIndex s = small_scenario().first_slot() + 3;
   const SlotFrames f = frames_for(s);
   const Identification id =
-      identifier_.identify(small_scenario().terminal(0), s, f.prev, f.curr);
+      identifier_.identify(small_scenario().terminal(0), s, f.prev, f.curr,
+                           sky_for(s));
   // 1/4-scale constellation: a handful to a few dozen candidates.
   EXPECT_GT(id.num_candidates, 1);
   EXPECT_LT(id.num_candidates, 60);
@@ -85,8 +94,9 @@ TEST_F(IdentifierTest, CandidateCountPlausible) {
 
 TEST_F(IdentifierTest, EmptyIsolationYieldsNoAnswer) {
   const obsmap::ObstructionMap empty;
+  const time::SlotIndex s = small_scenario().first_slot() + 1;
   const Identification id = identifier_.identify_isolated(
-      small_scenario().terminal(0), small_scenario().first_slot() + 1, empty);
+      small_scenario().terminal(0), s, empty, sky_for(s));
   EXPECT_FALSE(id.best.has_value());
   EXPECT_EQ(id.trajectory_pixels, 0u);
 }
@@ -95,9 +105,11 @@ TEST_F(IdentifierTest, IdentifyEqualsIdentifyIsolatedOnXor) {
   const time::SlotIndex s = small_scenario().first_slot() + 4;
   const SlotFrames f = frames_for(s);
   const Identification a =
-      identifier_.identify(small_scenario().terminal(0), s, f.prev, f.curr);
+      identifier_.identify(small_scenario().terminal(0), s, f.prev, f.curr,
+                           sky_for(s));
   const Identification b = identifier_.identify_isolated(
-      small_scenario().terminal(0), s, f.curr.exclusive_or(f.prev));
+      small_scenario().terminal(0), s, f.curr.exclusive_or(f.prev),
+      sky_for(s));
   ASSERT_EQ(a.best.has_value(), b.best.has_value());
   if (a.best) {
     EXPECT_EQ(a.best->norad_id, b.best->norad_id);
@@ -124,7 +136,8 @@ TEST_F(IdentifierTest, WinningDtwIsSmall) {
   const SlotFrames f = frames_for(s);
   if (!f.truth.has_value()) return;
   const Identification id =
-      identifier_.identify(small_scenario().terminal(0), s, f.prev, f.curr);
+      identifier_.identify(small_scenario().terminal(0), s, f.prev, f.curr,
+                           sky_for(s));
   if (!id.best.has_value()) return;
   // The true trajectory matches to within a couple of pixels per sample.
   EXPECT_LT(id.best->dtw, 10.0);

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -28,21 +27,12 @@
 namespace starlab::match {
 namespace {
 
+using starlab::testing::tiny_gen2_scenario;
 using starlab::testing::tiny_scenario;
 
 /// identifier.cpp's decision rule, restated for the reference.
 constexpr double kAbstainMargin = 0.02;
 constexpr double kAbstainMaxDtw = 30.0;
-
-/// The Gen2 constellation at the 1/8 scale of tiny_scenario().
-const core::Scenario& tiny_gen2_scenario() {
-  static const std::unique_ptr<core::Scenario> scenario = [] {
-    core::ScenarioConfig cfg = core::Scenario::default_config(0.125);
-    cfg.constellation.gen2 = true;
-    return std::make_unique<core::Scenario>(std::move(cfg));
-  }();
-  return *scenario;
-}
 
 /// One observed frame pair, as InferencePipeline::run hands it to identify.
 struct SlotInput {
@@ -208,7 +198,8 @@ void expect_matches_full_scoring(const core::Scenario& sc,
   const SatelliteIdentifier identifier(sc.catalog(), geometry, sc.grid());
   for (const SlotInput& in : inputs) {
     const Identification id =
-        identifier.identify(terminal, in.slot, in.prev, in.curr);
+        identifier.identify(terminal, in.slot, in.prev, in.curr,
+                            starlab::testing::slot_sky(sc, terminal, in.slot));
     tally.resets += id.reset_detected ? 1 : 0;
     if (id.abstain == AbstainReason::kStarvedTrajectory ||
         id.abstain == AbstainReason::kAmbiguousComponents) {

@@ -13,6 +13,7 @@ namespace starlab::match {
 namespace {
 
 using starlab::testing::small_scenario;
+using starlab::testing::slot_sky;
 
 struct Frames {
   obsmap::ObstructionMap before_reset;  // accumulated, several slots
@@ -49,7 +50,8 @@ TEST(ResetDetection, DetectsTheReboot) {
                                        obsmap::MapGeometry{},
                                        small_scenario().grid());
   const Identification id = identifier.identify(
-      small_scenario().terminal(0), f.slot, f.before_reset, f.after_reset);
+      small_scenario().terminal(0), f.slot, f.before_reset, f.after_reset,
+      slot_sky(small_scenario(), small_scenario().terminal(0), f.slot));
   EXPECT_TRUE(id.reset_detected);
 }
 
@@ -60,7 +62,8 @@ TEST(ResetDetection, StillIdentifiesCorrectly) {
                                        obsmap::MapGeometry{},
                                        small_scenario().grid());
   const Identification id = identifier.identify(
-      small_scenario().terminal(0), f.slot, f.before_reset, f.after_reset);
+      small_scenario().terminal(0), f.slot, f.before_reset, f.after_reset,
+      slot_sky(small_scenario(), small_scenario().terminal(0), f.slot));
   ASSERT_TRUE(id.best.has_value());
   EXPECT_EQ(id.best->norad_id, f.truth->norad_id);
 }
@@ -81,7 +84,8 @@ TEST(ResetDetection, NormalAccumulationNotFlagged) {
                                        obsmap::MapGeometry{},
                                        small_scenario().grid());
   const Identification id = identifier.identify(
-      small_scenario().terminal(0), first + 1, prev, curr);
+      small_scenario().terminal(0), first + 1, prev, curr,
+      slot_sky(small_scenario(), small_scenario().terminal(0), first + 1));
   EXPECT_FALSE(id.reset_detected);
 }
 

@@ -27,6 +27,16 @@ const Catalog& gen2_cat() {
   return *cat;
 }
 
+/// The Gen1 shells alone at the same scale.
+const Catalog& gen1_cat() {
+  static const Catalog* cat = [] {
+    SynthesizerConfig cfg;
+    cfg.scale = 0.25;
+    return new Catalog(synthesize(cfg));
+  }();
+  return *cat;
+}
+
 time::JulianDate epoch_jd() {
   return time::JulianDate::from_unix_seconds(
       time::UtcTime{2023, 6, 1, 0, 0, 0.0}.to_unix_seconds());
@@ -181,6 +191,69 @@ TEST(SpatialIndex, SnapshotPathByteIdenticalToScanAcrossLatitudes) {
       expect_identical(indexed, scanned, where);
     }
   }
+}
+
+/// Every satellite above `min_elevation`, each SkyEntry field computed on
+/// its own from `jd`: Ephemeris::state_teme, then geo::teme_to_ecef and
+/// look_angles for the look, and sun::is_sunlit for the illumination. It
+/// shares nothing with the catalog's visibility check, which evaluates the
+/// rotation and the Sun once per query.
+std::vector<SkyEntry> recompute_sky(const Catalog& cat,
+                                    const geo::Geodetic& observer,
+                                    const time::JulianDate& jd,
+                                    geo::Deg min_elevation) {
+  std::vector<SkyEntry> out;
+  for (std::size_t i = 0; i < cat.size(); ++i) {
+    sgp4::StateVector st;
+    try {
+      st = cat.ephemeris(i).state_teme(jd);
+    } catch (const sgp4::Sgp4Error&) {
+      continue;
+    }
+    const geo::TemeKm teme(st.position_km);
+    const geo::LookAngles look =
+        geo::look_angles(observer, geo::teme_to_ecef(teme, jd));
+    if (look.elevation_deg < min_elevation.value()) continue;
+    SkyEntry e;
+    e.norad_id = cat.record(i).tle.norad_id;
+    e.catalog_index = i;
+    e.look = look;
+    e.sunlit = sun::is_sunlit(teme, jd);
+    e.age_days = cat.record(i).age_days(jd.to_unix_seconds());
+    e.position_teme_km = teme;
+    out.push_back(e);
+  }
+  return out;
+}
+
+TEST(SpatialIndex, VisibleFromMatchesPerSatelliteRecomputation) {
+  // visible_from and visible_from_scan share sky_entry_at, so the scan alone
+  // cannot vouch for the per-query rotation and solar ephemeris: both are
+  // checked against the independent recomputation, across a day at several
+  // latitudes. Skies holding sunlit and eclipsed entries at once sit next
+  // to the terminator; the sunlit field is only tested where they occur.
+  int mixed = 0;
+  for (const Catalog* cat : {&gen1_cat(), &gen2_cat()}) {
+    for (const double lat : {-50.0, -20.0, 0.0, 25.0, 41.661, 65.0}) {
+      const geo::Geodetic obs{lat, -91.530, 0.22};
+      for (double dt_sec = 0.0; dt_sec < 86400.0; dt_sec += 7200.0) {
+        const time::JulianDate jd = epoch_jd().plus_seconds(dt_sec);
+        const std::vector<SkyEntry> want =
+            recompute_sky(*cat, obs, jd, geo::Deg(25.0));
+        char where[64];
+        std::snprintf(where, sizeof(where), "lat %.3f dt %.0f", lat, dt_sec);
+        expect_identical(cat->visible_from(obs, jd, geo::Deg(25.0)), want,
+                         where);
+        expect_identical(cat->visible_from_scan(obs, jd, geo::Deg(25.0)), want,
+                         where);
+        const auto lit =
+            std::count_if(want.begin(), want.end(),
+                          [](const SkyEntry& e) { return e.sunlit; });
+        if (lit > 0 && lit < static_cast<long>(want.size())) ++mixed;
+      }
+    }
+  }
+  EXPECT_GE(mixed, 6);
 }
 
 TEST(SpatialIndex, FallsBackOutsideValidityWindow) {
