@@ -2,11 +2,8 @@
 # starlab lint gate: starlint (the project's own analyzer, tools/starlint)
 # plus clang-tidy when available. CI runs this as the `lint` job; locally it
 # degrades gracefully on toolchains without clang-tidy (gcc-only containers).
-#
-# starlint replaced the old grep-lint: the raw unit-suffixed double rule now
-# lives in tools/starlint (rule `raw-unit-double`) with its baseline in
-# tools/starlint/baseline.json, alongside the layering and determinism
-# rules. See docs/STATIC_ANALYSIS.md.
+# starlint writes its SARIF report to <build-dir>/starlint.sarif. See
+# docs/STATIC_ANALYSIS.md.
 #
 # Usage: scripts/lint.sh [build-dir]        (default: build)
 #        scripts/lint.sh --write-baseline   (regenerate the starlint baseline)

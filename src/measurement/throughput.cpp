@@ -11,6 +11,7 @@ namespace starlab::measurement {
 
 namespace {
 
+constexpr double kOfferedMbps = 50.0;  ///< iPerf3 target rate
 constexpr double kSampleIntervalSec = 1.0;
 constexpr double kEfficiency = 0.65;     ///< modem efficiency vs Shannon
 constexpr double kNoiseFraction = 0.05;  ///< multiplicative goodput jitter
@@ -80,7 +81,7 @@ ThroughputSeries ThroughputProber::run(const ground::Terminal& terminal,
     ThroughputSample s;
     s.unix_sec = t;
     s.slot = slot;
-    s.offered_mbps = config_.offered_mbps;
+    s.offered_mbps = kOfferedMbps;
     if (alloc.has_value()) {
       const double share = capacity_share_mbps(terminal, *alloc, t);
       const double jitter =

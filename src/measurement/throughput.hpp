@@ -38,19 +38,14 @@ struct ThroughputSeries {
   [[nodiscard]] double saturation_fraction() const;
 };
 
-/// The prober samples once a second over the Ku user downlink
-/// (rf/link_budget.hpp), at 65 % of Shannon capacity with ±5 %
-/// multiplicative goodput jitter.
-struct ThroughputConfig {
-  double offered_mbps = 50.0;  ///< iPerf3 target rate
-};
-
+/// The prober offers 50 Mbit/s (the iPerf3 target rate) and samples once a
+/// second over the Ku user downlink (rf/link_budget.hpp), at 65 % of Shannon
+/// capacity with ±5 % multiplicative goodput jitter.
 class ThroughputProber {
  public:
   ThroughputProber(const scheduler::GlobalScheduler& global,
-                   const scheduler::MacScheduler& mac,
-                   ThroughputConfig config = {}, std::uint64_t seed = 19)
-      : global_(global), mac_(mac), config_(config), seed_(seed) {}
+                   const scheduler::MacScheduler& mac, std::uint64_t seed = 19)
+      : global_(global), mac_(mac), seed_(seed) {}
 
   /// The terminal's capacity share through a given allocation at an instant:
   /// Shannon capacity at the slant range, divided by the MAC cycle length,
@@ -66,7 +61,6 @@ class ThroughputProber {
  private:
   const scheduler::GlobalScheduler& global_;
   const scheduler::MacScheduler& mac_;
-  ThroughputConfig config_;
   std::uint64_t seed_;
 };
 

@@ -12,9 +12,9 @@ namespace {
 
 using starlab::testing::small_scenario;
 
-ThroughputSeries run_minutes(double minutes, ThroughputConfig cfg = {}) {
+ThroughputSeries run_minutes(double minutes) {
   const ThroughputProber prober(small_scenario().global_scheduler(),
-                                small_scenario().mac_scheduler(), cfg);
+                                small_scenario().mac_scheduler());
   const double t0 =
       small_scenario().grid().slot_start(small_scenario().first_slot());
   return prober.run(small_scenario().terminal(0), t0, t0 + minutes * 60.0);
@@ -43,17 +43,6 @@ TEST(Throughput, MeanGoodputReasonable) {
   // should get through most of the time.
   EXPECT_GT(s.mean_goodput_mbps(), 20.0);
   EXPECT_LE(s.mean_goodput_mbps(), 50.0);
-}
-
-TEST(Throughput, SaturationRisesWithOfferedLoad) {
-  ThroughputConfig modest;
-  modest.offered_mbps = 20.0;
-  ThroughputConfig greedy;
-  greedy.offered_mbps = 400.0;
-  const double sat_modest = run_minutes(5.0, modest).saturation_fraction();
-  const double sat_greedy = run_minutes(5.0, greedy).saturation_fraction();
-  EXPECT_GE(sat_greedy, sat_modest);
-  EXPECT_GT(sat_greedy, 0.5);  // 400 Mbit/s through a shared beam: mostly capped
 }
 
 TEST(Throughput, CapacityChangesAtSlotBoundaries) {

@@ -45,12 +45,19 @@
 // A name a function declares as a parameter or local is not a use of a
 // same-named function, and not a write of a same-named member.
 //
+// Every pass reads the files' token streams (SourceFile::tokens()); nested
+// bodies come from FunctionDef::parent, and the graph builds one identifier
+// -> occurrences index over all files for the searches that look a name up
+// across the program.
+//
 // Call resolution is deliberately conservative and name-based (no types):
 // member-call vocabulary of the standard library is classified directly
 // (growing ops are allocation sinks, accessors are pure), qualified names
 // resolve on `::` suffix boundaries, an unqualified name resolves to every
 // indexed function with that name (overload union), and anything left is an
-// unknown callee.
+// unknown callee. A union shrinks to the caller's enclosing scope for an
+// unqualified call, and to the classes a member call's receiver is declared
+// as (`Foo rot`, `const Foo& rot`, `Foo* rot`) anywhere in the program.
 //
 // Findings are emitted at the hot function's definition line, so the
 // standard `starlint:allow(rule)` comment there suppresses them; an allow
@@ -62,6 +69,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "config.hpp"
@@ -116,10 +125,16 @@ class CallGraph {
     std::string name;      // callee chain ("sun::is_sunlit") or sink name
     std::string receiver;  // member calls: the receiver's identifier chain
     std::string mutex_arg; // kLock: the guarded expression's trailing chain
-    std::size_t pos = 0;   // offset in the file's scrubbed text
+    std::size_t pos = 0;   // byte offset in the file's scrubbed text
     std::size_t line = 0;
     std::size_t block_end = 0;  // kLock: end of the enclosing block
     bool member = false;
+  };
+
+  /// One identifier occurrence: code token `token` of file `file`.
+  struct Occurrence {
+    std::size_t file = 0;
+    std::size_t token = 0;
   };
 
   void extract_sites(std::size_t def_index);
@@ -130,38 +145,40 @@ class CallGraph {
   /// enclosing it (a lambda sees its host's locals).
   [[nodiscard]] bool is_declared(std::size_t def_index,
                                  const std::string& name) const;
-  /// Add to `out` every member name written in text[begin, end) of file
-  /// `file_index`, skipping the [first, second) ranges in `skip`. `def` is
-  /// the enclosing function (SIZE_MAX outside every function).
+  /// Add to `out` every member name written in tokens [begin, end) of file
+  /// `file_index`, skipping the init lists and bodies of the defs in `skip`
+  /// (in def order). `def` is the enclosing function (SIZE_MAX outside
+  /// every function).
   void extract_writes(std::size_t file_index, std::size_t begin,
-                      std::size_t end,
-                      const std::vector<std::pair<std::size_t, std::size_t>>&
-                          skip,
+                      std::size_t end, const std::vector<std::size_t>& skip,
                       std::size_t def, std::set<std::string>& out) const;
   /// True when a member call named `method` may modify its receiver.
   [[nodiscard]] bool mutating_member(const std::string& method) const;
-  /// Text of parameter `arg` of `def` ("" when it has none).
-  [[nodiscard]] std::string parameter(std::size_t def, std::size_t arg) const;
+  /// Code tokens of parameter `arg` of `def` (none when it has none).
+  [[nodiscard]] std::vector<std::size_t> parameter(std::size_t def,
+                                                   std::size_t arg) const;
   /// True when argument `arg` of a call to `callee` binds to a non-const
   /// lvalue reference.
   [[nodiscard]] bool out_param(const std::string& callee,
                                std::size_t arg) const;
-  /// `def`'s head without its name and parameter list: return type,
-  /// qualifiers, trailing return type.
-  [[nodiscard]] std::string head_text(std::size_t def) const;
-  /// The classes a positional brace list at `brace` may initialize.
+  /// Code tokens of `def`'s head without its name and parameter list:
+  /// return type, qualifiers, trailing return type.
+  [[nodiscard]] std::vector<std::size_t> head_tokens(std::size_t def) const;
+  /// The classes a positional brace list at token `brace` may initialize.
   [[nodiscard]] std::set<std::string> aggregate_types(std::size_t file_index,
                                                       std::size_t brace,
                                                       std::size_t def) const;
   /// Breadth-first reach from the roots, over call and reference edges.
   void compute_reached();
-  /// Append a kRef site for every indexed function name in
-  /// text[begin, end) — spans whose code runs but is not a plain body
-  /// (init lists, contract-macro arguments, initializers, #defines).
-  /// Inside `def`, its parameters and locals are not references.
-  void add_refs(const std::string& text, std::size_t begin, std::size_t end,
-                std::size_t file_index, std::vector<Site>& out,
-                std::size_t def = SIZE_MAX) const;
+  /// Append a kRef site when token `t` names an indexed function — in
+  /// spans whose code runs but is not a plain body (init lists,
+  /// contract-macro arguments, initializers, #defines). Inside `def`, its
+  /// parameters and locals are not references.
+  void add_ref(std::size_t file_index, std::size_t t, std::vector<Site>& out,
+               std::size_t def = SIZE_MAX) const;
+  /// add_ref over the code tokens [begin, end).
+  void add_refs(std::size_t file_index, std::size_t begin, std::size_t end,
+                std::vector<Site>& out, std::size_t def = SIZE_MAX) const;
   /// kRef sites of code that runs outside every function body: initializers
   /// after `=` at namespace or class scope, and #define bodies.
   void extract_file_scope_refs(std::size_t file_index);
@@ -176,26 +193,27 @@ class CallGraph {
   /// True when some file declares `receiver` with type `type_name`.
   [[nodiscard]] bool receiver_declared_as(const std::string& type_name,
                                           const std::string& receiver) const;
-  [[nodiscard]] std::size_t enclosing_def(std::size_t file_index,
-                                          std::size_t pos) const;
   /// Identity string for the mutex a lock site names.
   [[nodiscard]] std::string mutex_identity(std::size_t def_index,
                                            const Site& site) const;
 
   const std::vector<SourceFile>& files_;
   HotpathConfig config_;
-  /// Scrubbed text per file with preprocessor lines blanked; extents in
-  /// defs_ index into these.
-  std::vector<std::string> texts_;
+  /// Every def of every file; FunctionDef::parent indexes this vector.
   std::vector<FunctionDef> defs_;
   std::vector<std::vector<Site>> sites_;  // parallel to defs_
-  /// Innermost def whose body contains each def (SIZE_MAX: none).
-  std::vector<std::size_t> parent_;
+  /// Defs whose parent each def is, in body order (parallel to defs_).
+  std::vector<std::vector<std::size_t>> children_;
+  /// Per file: its defs with no parent, in body order.
+  std::vector<std::vector<std::size_t>> top_level_;
+  /// Identifier -> every code occurrence, in (file, token) order. The
+  /// keys view into files_' scrubbed texts.
+  std::unordered_map<std::string_view, std::vector<Occurrence>> occurrences_;
   /// Uses outside every function body; reachability roots.
   std::vector<Site> file_scope_refs_;
   std::vector<MutexDecl> mutexes_;
   std::vector<FieldDecl> fields_;
-  std::set<std::string> field_names_;
+  std::set<std::string, std::less<>> field_names_;
   /// Class name (last component) -> the member names of each class so
   /// named, in declaration order: positional aggregate initializers.
   std::map<std::string, std::vector<std::vector<std::string>>> aggregates_;
@@ -204,7 +222,7 @@ class CallGraph {
   /// Member names written by initializers outside every function body.
   std::set<std::string> file_scope_writes_;
   std::vector<bool> reached_;  // parallel to defs_
-  std::map<std::string, std::vector<std::size_t>> by_name_;
+  std::map<std::string, std::vector<std::size_t>, std::less<>> by_name_;
   /// def -> lambda defs invoked immediately at their closing brace (IIFE):
   /// `[]{ ... }()` — treated as a call edge from the enclosing function.
   std::map<std::size_t, std::vector<std::size_t>> iife_edges_;
