@@ -1,11 +1,11 @@
 // google-benchmark microbenchmarks for the hot paths: SGP4 propagation, the
 // whole-sky visibility query, DTW matching, one slot's satellite
 // identification, the §4 pipeline over a few slots, forest inference,
-// obstruction-map XOR and the
-// Mann-Whitney test. These bound the cost of scaling campaigns
-// to longer durations and denser constellations. Besides the console table,
-// per-section ns/op land in BENCH_perf.json (one RunReport line, git SHA
-// stamped) so regressions are diffable across commits.
+// obstruction-map XOR and trajectory isolation, and the Mann-Whitney test.
+// These bound the cost of scaling campaigns to longer durations and denser
+// constellations. Besides the console table, per-section ns/op land in
+// BENCH_perf.json (one RunReport line, git SHA stamped) so regressions are
+// diffable across commits.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +18,9 @@
 #include "core/campaign.hpp"
 #include "core/pipeline.hpp"
 #include "exec/thread_pool.hpp"
+#include "match/trajectory.hpp"
+#include "obsmap/components.hpp"
+#include "obsmap/painter.hpp"
 
 using namespace starlab;
 
@@ -252,6 +255,35 @@ void BM_ObstructionMapXor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObstructionMapXor);
+
+void BM_IsolateTrajectory(benchmark::State& state) {
+  // The frame work identify_isolated does on the XOR of two recorded
+  // consecutive slots, before any candidate is scored: connected
+  // components, painting the dominant one, and chaining its pixels.
+  const core::Scenario& s = bench::full_scenario();
+  const ground::Terminal& terminal = s.terminal(0);
+  obsmap::MapRecorder recorder(s.catalog(), terminal, s.grid());
+  time::SlotIndex slot = s.first_slot();
+  const auto record_next_allocated = [&] {
+    std::optional<scheduler::Allocation> serving;
+    while (!serving.has_value()) {
+      serving = s.global_scheduler().allocate(terminal, slot++);
+    }
+    return recorder.record_slot(serving);
+  };
+  const obsmap::ObstructionMap prev = record_next_allocated();
+  const obsmap::ObstructionMap isolated =
+      record_next_allocated().exclusive_or(prev);
+  const obsmap::MapGeometry geometry;
+  for (auto _ : state) {
+    const std::vector<std::vector<obsmap::Pixel>> components =
+        obsmap::connected_components(isolated);
+    obsmap::ObstructionMap dominant;
+    for (const obsmap::Pixel& p : components.front()) dominant.set(p);
+    benchmark::DoNotOptimize(match::extract_trajectory(dominant, geometry));
+  }
+}
+BENCHMARK(BM_IsolateTrajectory);
 
 void BM_MannWhitney(benchmark::State& state) {
   std::mt19937 rng(11);

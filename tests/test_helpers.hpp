@@ -127,7 +127,8 @@ inline std::vector<ground::Candidate> slot_sky(const core::Scenario& sc,
       time::JulianDate::from_unix_seconds(sc.grid().slot_mid(slot)));
 }
 
-/// True if every set pixel of `a` is also set in `b`.
+/// True if every set pixel of `a` is also set in `b`: a word-wise
+/// `a & ~b` test over the frames' one-bit-per-pixel storage.
 inline bool subset_of(const obsmap::ObstructionMap& a,
                       const obsmap::ObstructionMap& b) {
   for (std::size_t i = 0; i < obsmap::ObstructionMap::kNumWords; ++i) {
