@@ -89,6 +89,70 @@ TEST(ResetDetection, NormalAccumulationNotFlagged) {
   EXPECT_FALSE(id.reset_detected);
 }
 
+/// Adds up to `n` pixels to `frame`, none of which has a set 8-neighbour in
+/// `frame` or in `keep_clear` or is set in `keep_clear`: the isolated
+/// pixels bit flips leave. Returns how many were added.
+int add_isolated_pixels(obsmap::ObstructionMap& frame,
+                        const obsmap::ObstructionMap& keep_clear, int n) {
+  const auto near_set = [](const obsmap::ObstructionMap& m, int x, int y) {
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dx = -1; dx <= 1; ++dx) {
+        if (m.get(x + dx, y + dy)) return true;
+      }
+    }
+    return false;
+  };
+  int added = 0;
+  for (int y = 2; y < obsmap::ObstructionMap::kSize && added < n; y += 7) {
+    for (int x = 2; x < obsmap::ObstructionMap::kSize && added < n; x += 5) {
+      if (near_set(frame, x, y) || near_set(keep_clear, x, y)) continue;
+      frame.set(x, y);
+      ++added;
+    }
+  }
+  return added;
+}
+
+TEST(ResetDetection, IsolatedFlipsInPreviousFrameAreNotAReboot) {
+  // A corrupted poll adds isolated pixels to the frame that becomes the
+  // next slot's baseline; its clean successor lacks them. That is not a
+  // reboot: only lost streak pixels are.
+  obsmap::MapRecorder recorder(small_scenario().catalog(),
+                               small_scenario().terminal(0),
+                               small_scenario().grid());
+  const time::SlotIndex first = small_scenario().first_slot();
+  for (time::SlotIndex s = first; s < first + 5; ++s) {
+    recorder.record_slot(small_scenario().global_scheduler().allocate(
+        small_scenario().terminal(0), s));
+  }
+  obsmap::ObstructionMap prev = recorder.accumulated();
+  const time::SlotIndex slot = first + 5;
+  const obsmap::ObstructionMap curr =
+      recorder.record_slot(small_scenario().global_scheduler().allocate(
+          small_scenario().terminal(0), slot));
+  ASSERT_EQ(add_isolated_pixels(prev, curr, 20), 20);
+
+  const SatelliteIdentifier identifier(small_scenario().catalog(),
+                                       obsmap::MapGeometry{},
+                                       small_scenario().grid());
+  const std::vector<ground::Candidate> sky =
+      slot_sky(small_scenario(), small_scenario().terminal(0), slot);
+  EXPECT_FALSE(identifier
+                   .identify(small_scenario().terminal(0), slot, prev, curr,
+                             sky)
+                   .reset_detected);
+
+  // The same flipped baseline against a frame painted after a real wipe.
+  recorder.reset();
+  const obsmap::ObstructionMap wiped =
+      recorder.record_slot(small_scenario().global_scheduler().allocate(
+          small_scenario().terminal(0), slot));
+  EXPECT_TRUE(identifier
+                  .identify(small_scenario().terminal(0), slot, prev, wiped,
+                            sky)
+                  .reset_detected);
+}
+
 TEST(ResetDetection, WithoutDetectionTheXorWouldMislead) {
   // Sanity on the failure mode itself: the naive XOR of a pre-reset frame
   // with a post-reset frame contains far more pixels than one trajectory.
