@@ -5,6 +5,7 @@
 #include <functional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -72,16 +73,21 @@ std::string format_fault_plan(const FaultPlan& plan) {
   const FaultPlan defaults;
   FaultPlan mutable_plan = plan;
   FaultPlan mutable_defaults = defaults;
-  std::ostringstream out;
-  if (plan.seed != defaults.seed) out << "seed = " << plan.seed << '\n';
+  // Built without a stream: InferencePipeline::run formats its plan on
+  // every run, outside its stage spans, and in a fresh process the first
+  // std::ostringstream took about 0.15 ms (4-core dev container).
+  std::string out;
+  if (plan.seed != defaults.seed) {
+    out += "seed = " + std::to_string(plan.seed) + '\n';
+  }
   for (const Field& f : schema()) {
     const double value = f.ref(mutable_plan);
     if (value == f.ref(mutable_defaults)) continue;
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out << f.key << " = " << buf << '\n';
+    out += std::string(f.key) + " = " + buf + '\n';
   }
-  return out.str();
+  return out;
 }
 
 FaultPlan parse_fault_plan(const std::string& text) {
